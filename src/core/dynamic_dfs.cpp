@@ -404,9 +404,10 @@ bool DynamicDfs::is_structural(const GraphUpdate& u) const {
 
 bool DynamicDfs::flush_segment(Segment& seg) {
   if (seg.ops.empty()) return false;
-  if (seg.structural == 0 || seg.ops.size() == 1) {
+  if (seg.structural == 0 || (seg.ops.size() == 1 && seg.admitted.empty())) {
     // All patch-only, or a single update: the per-update path is exact (and
-    // for one structural update reroots only the affected subtrees).
+    // for one structural update reroots only the affected subtrees). An
+    // admitted vertex insert already holds its id, so it never comes here.
     for (const GraphUpdate* op : seg.ops) apply(*op);
     seg.ops.clear();
     seg.structural = 0;
@@ -419,6 +420,7 @@ bool DynamicDfs::flush_segment(Segment& seg) {
   BatchChanges changes;
   {
     obs::ScopedPhase timer(*patch_hist_, "patch");
+    std::size_t next_admitted = 0;
     for (const GraphUpdate* op : seg.ops) {
       switch (op->kind) {
         case GraphUpdate::Kind::kInsertEdge: {
@@ -451,9 +453,19 @@ bool DynamicDfs::flush_segment(Segment& seg) {
           changes.deleted_vertices.push_back(v);
           break;
         }
-        case GraphUpdate::Kind::kInsertVertex:
-          PARDFS_CHECK_MSG(false, "vertex inserts close segments");
+        case GraphUpdate::Kind::kInsertVertex: {
+          // The id is already alive and isolated (admit_vertices); its edges
+          // join the segment in Graph::add_vertex(neighbors)'s order, so the
+          // adjacency rows match a per-update history.
+          const Vertex v = seg.admitted[next_admitted++];
+          for (const Vertex u : op->neighbors) {
+            PARDFS_CHECK_MSG(graph_.add_edge(u, v),
+                             "duplicate neighbor in vertex insertion");
+            oracle_.note_edge_inserted(u, v);
+            changes.inserted_edges.push_back({u, v});
+          }
           break;
+        }
       }
     }
   }
@@ -477,8 +489,28 @@ bool DynamicDfs::flush_segment(Segment& seg) {
   structural_since_rebase_ += seg.structural;
   rebuild_index();
   seg.ops.clear();
+  seg.admitted.clear();
   seg.structural = 0;
   return true;
+}
+
+void DynamicDfs::admit_vertices(std::span<const GraphUpdate> updates,
+                                std::vector<Vertex>& ids) {
+  {
+    obs::ScopedPhase timer(*patch_hist_, "patch");
+    for (const GraphUpdate& u : updates) {
+      if (u.kind != GraphUpdate::Kind::kInsertVertex) continue;
+      // Capacity order: the ids the per-update path would assign. D learns
+      // the vertex now and its edges with its segment, for the same patch
+      // count as note_vertex_inserted(v, neighbors).
+      const Vertex v = graph_.add_vertex();
+      oracle_.note_vertex_inserted(v, {});
+      ids.push_back(v);
+    }
+  }
+  // The new ids join the pre-batch forest as singleton roots, so every op of
+  // the batch is classified and reduced against an index that knows them.
+  if (!ids.empty()) rebuild_index();
 }
 
 BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
@@ -487,33 +519,39 @@ BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
   const std::size_t index_rebuilds_before = index_rebuilds_;
   const std::size_t base_rebuilds_before = epoch_rebuilds_;
 
-  Segment seg;
-  for (const GraphUpdate& u : updates) {
-    if (u.kind == GraphUpdate::Kind::kInsertVertex) {
-      // Vertex inserts assign an id later updates may reference: they close
-      // the pending segment and run through the per-update path.
-      stats.segments += flush_segment(seg) ? 1 : 0;
-      stats.new_vertices.push_back(insert_vertex(u.neighbors));
-      ++stats.structural;
-      continue;
+  if (updates.size() == 1 &&
+      updates.front().kind == GraphUpdate::Kind::kInsertVertex) {
+    // A lone insert keeps the exact per-update path.
+    stats.new_vertices.push_back(insert_vertex(updates.front().neighbors));
+    ++stats.structural;
+  } else {
+    // Every insert gets its id up front, so it can join the segments like
+    // any other structural update (its edges become inserted edges).
+    admit_vertices(updates, stats.new_vertices);
+    Segment seg;
+    std::size_t next_new = 0;
+    for (const GraphUpdate& u : updates) {
+      const bool structural = is_structural(u);
+      if (structural && seg.structural >= epoch_period_) {
+        stats.segments += flush_segment(seg) ? 1 : 0;
+      }
+      seg.ops.push_back(&u);
+      if (u.kind == GraphUpdate::Kind::kInsertVertex) {
+        seg.admitted.push_back(stats.new_vertices[next_new++]);
+      }
+      seg.structural += structural ? 1 : 0;
+      if (structural) {
+        ++stats.structural;
+      } else {
+        ++stats.back_edges;
+      }
     }
-    const bool structural = is_structural(u);
-    if (structural && seg.structural >= epoch_period_) {
-      stats.segments += flush_segment(seg) ? 1 : 0;
-    }
-    seg.ops.push_back(&u);
-    seg.structural += structural ? 1 : 0;
-    if (structural) {
-      ++stats.structural;
-    } else {
-      ++stats.back_edges;
-    }
+    stats.segments += flush_segment(seg) ? 1 : 0;
   }
-  stats.segments += flush_segment(seg) ? 1 : 0;
   stats.index_rebuilds = index_rebuilds_ - index_rebuilds_before;
   stats.base_rebuilds = epoch_rebuilds_ - base_rebuilds_before;
-  // Update-mix counters: the observed structural/back-edge ratio is the
-  // signal the adaptive-backend cost model (ROADMAP) will consume.
+  // Update-mix counters (DESIGN.md §11): structural vs patch-only updates,
+  // and how many combined passes they took.
   static obs::Counter& structural_ctr = obs::Registry::global().counter(
       "pardfs_updates_total", "kind=\"structural\"");
   static obs::Counter& back_edge_ctr = obs::Registry::global().counter(

@@ -102,13 +102,17 @@ class DynamicDfs {
   // Applies a whole batch with the combined k-update reduction
   // (core/batch_reduction): D is patched for every update, one engine pass
   // reroots the affected trees, and the O(n) index rebuild runs once per
-  // *segment* instead of once per update. A segment is a maximal run of edge
-  // updates and vertex deletions with at most epoch_period() structural
-  // members (the Theorem 9 patch budget); vertex insertions close segments
-  // (their id assignment feeds later updates) and single-update segments take
-  // the cheaper per-update path. A batch of 2..log n structural edge updates
-  // therefore performs exactly one index rebuild. Updates must be
-  // sequentially feasible, exactly as if applied one by one through apply().
+  // *segment* instead of once per update. A segment is a maximal run of
+  // updates with at most epoch_period() structural members (the Theorem 9
+  // patch budget). Vertex insertions are admitted first: every
+  // kInsertVertex of a multi-update batch gets its id up front, in capacity
+  // order, as an isolated vertex (one extra index rebuild), so later updates
+  // may reference it; its edges then join its segment as inserted edges and
+  // it counts as one structural member. Single-update segments take the
+  // cheaper per-update path. A batch of 2..log n structural updates
+  // therefore performs one index rebuild, two if it inserts vertices.
+  // Updates must be sequentially feasible, exactly as if applied one by one
+  // through apply().
   BatchStats apply_batch(std::span<const GraphUpdate> updates);
 
   // ---- sharding support (service/shard_router) -----------------------------
@@ -179,6 +183,7 @@ class DynamicDfs {
  private:
   struct Segment {
     std::vector<const GraphUpdate*> ops;
+    std::vector<Vertex> admitted;  // ids of the kInsertVertex ops, in op order
     std::size_t structural = 0;
   };
 
@@ -195,6 +200,9 @@ class DynamicDfs {
   // Returns true when the segment ran the combined reduction (one index
   // rebuild); false for the per-update fallbacks.
   bool flush_segment(Segment& seg);
+  // Gives every kInsertVertex of `updates` its id as an isolated alive
+  // vertex (appended to `ids`), then rebuilds the index once if any.
+  void admit_vertices(std::span<const GraphUpdate> updates, std::vector<Vertex>& ids);
   void execute(const ReductionResult& reduction, const OracleView& view);
   // The current tree equals the base tree (only back-edge patches may have
   // accumulated), so oracle queries need no Theorem 9 path decomposition.

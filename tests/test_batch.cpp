@@ -1,7 +1,8 @@
 // DynamicDfs::apply_batch — the combined k-update reduction (Theorem 13's
 // batch handling): validity after every batch, equivalence with the
 // sequential per-update path at the graph level, and the amortization pins
-// (one index rebuild per segment, zero for pure back-edge batches).
+// (one index rebuild per segment plus one for vertex-id admission, zero for
+// pure back-edge batches).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,14 +137,18 @@ TEST(Batch, MatchesSequentialGraphState) {
   }
 }
 
-TEST(Batch, VertexInsertsSegmentTheBatch) {
+TEST(Batch, VertexInsertsJoinTheSegment) {
   DynamicDfs dfs(gen::path(10));
   std::vector<GraphUpdate> batch;
   batch.push_back(GraphUpdate::delete_edge(3, 4));
   batch.push_back(GraphUpdate::delete_edge(6, 7));
   batch.push_back(GraphUpdate::insert_vertex({2, 8}));
   batch.push_back(GraphUpdate::insert_vertex({}));
+  ASSERT_GE(dfs.epoch_period(), batch.size());
   const BatchStats stats = dfs.apply_batch(batch);
+  EXPECT_EQ(stats.structural, 4u);
+  EXPECT_EQ(stats.segments, 1u) << "the inserts join the edge updates' segment";
+  EXPECT_EQ(stats.index_rebuilds, 2u) << "id admission + the segment's rebuild";
   ASSERT_EQ(stats.new_vertices.size(), 2u);
   EXPECT_EQ(stats.new_vertices[0], 10);
   EXPECT_EQ(stats.new_vertices[1], 11);
@@ -167,6 +172,107 @@ TEST(Batch, EdgeToFreshVertexInSameBatch) {
   EXPECT_TRUE(dfs.graph().has_edge(6, 3));
   EXPECT_TRUE(dfs.graph().has_edge(6, 5));
   EXPECT_TRUE(validate_dfs_forest(dfs.graph(), dfs.parent()).ok);
+}
+
+// Adjacency rows (order included) of every id, the state sharded engines
+// rely on being a pure function of the update history (DESIGN.md §12).
+std::vector<std::vector<Vertex>> rows_of(const Graph& g) {
+  std::vector<std::vector<Vertex>> rows;
+  for (Vertex v = 0; v < g.capacity(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    rows.emplace_back(nbrs.begin(), nbrs.end());
+  }
+  return rows;
+}
+
+Graph replay(Graph g, std::span<const GraphUpdate> updates) {
+  for (const GraphUpdate& u : updates) {
+    switch (u.kind) {
+      case GraphUpdate::Kind::kInsertEdge:
+        g.add_edge(u.u, u.v);
+        break;
+      case GraphUpdate::Kind::kDeleteEdge:
+        g.remove_edge(u.u, u.v);
+        break;
+      case GraphUpdate::Kind::kInsertVertex:
+        g.add_vertex(u.neighbors);
+        break;
+      case GraphUpdate::Kind::kDeleteVertex:
+        g.remove_vertex(u.u);
+        break;
+    }
+  }
+  return g;
+}
+
+TEST(Batch, InsertsAndEdgeOpsShareOneSegment) {
+  // Structural edge deletions, two vertex inserts, an edge op on the first
+  // new id and the deletion of the second, all in one combined pass.
+  Rng rng(8128);
+  Graph g = gen::random_connected(256, 700, rng);
+  DynamicDfs dfs(g);
+  const Vertex first = dfs.graph().capacity();
+  std::vector<GraphUpdate> batch;
+  std::vector<Vertex> cut_children;
+  for (Vertex v = 0; v < first && cut_children.size() < 2; ++v) {
+    const Vertex p = dfs.parent_of(v);
+    if (p == kNullVertex) continue;
+    batch.push_back(GraphUpdate::delete_edge(p, v));
+    cut_children.push_back(v);
+  }
+  ASSERT_EQ(cut_children.size(), 2u);
+  batch.push_back(GraphUpdate::insert_vertex({cut_children[0], 17}));
+  batch.push_back(GraphUpdate::insert_vertex({cut_children[1], first}));
+  batch.push_back(GraphUpdate::insert_edge(first, 200));
+  batch.push_back(GraphUpdate::delete_vertex(first + 1));
+  ASSERT_GE(dfs.epoch_period(), batch.size());
+
+  const std::size_t rebuilds = dfs.index_rebuilds();
+  const BatchStats stats = dfs.apply_batch(batch);
+  EXPECT_EQ(stats.structural, batch.size());
+  EXPECT_EQ(stats.segments, 1u);
+  EXPECT_LE(stats.index_rebuilds, 2u);
+  EXPECT_EQ(dfs.index_rebuilds(), rebuilds + stats.index_rebuilds);
+  EXPECT_EQ(stats.new_vertices, (std::vector<Vertex>{first, first + 1}))
+      << "ids are assigned in capacity order";
+  EXPECT_TRUE(dfs.graph().is_alive(first));
+  EXPECT_FALSE(dfs.graph().is_alive(first + 1));
+  EXPECT_TRUE(dfs.graph().has_edge(first, 200));
+  EXPECT_EQ(dfs.parent_of(first + 1), kNullVertex);
+  EXPECT_EQ(rows_of(dfs.graph()), rows_of(replay(g, batch)));
+  const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
+  EXPECT_TRUE(val.ok) << val.reason;
+}
+
+TEST(Batch, LargeBatchesWithInsertsStayValid) {
+  // n >= 4096: the combined pass crosses pram::kSerialGrain and the engine's
+  // serial cutoff, so the parallel reductions and the per-round machinery
+  // both see admitted vertices.
+  Rng rng(4099);
+  const Graph g = gen::random_connected(4096, 12000, rng);
+  const std::vector<GraphUpdate> stream = make_stream(g, 320, 61, 0.6, 0.2);
+  DynamicDfs dfs(g);
+  std::size_t inserts = 0;
+  std::size_t combined = 0;
+  for (std::size_t i = 0; i < stream.size(); i += 16) {
+    const auto chunk =
+        std::span(stream).subspan(i, std::min<std::size_t>(16, stream.size() - i));
+    const Vertex capacity = dfs.graph().capacity();
+    const BatchStats stats = dfs.apply_batch(chunk);
+    for (std::size_t k = 0; k < stats.new_vertices.size(); ++k) {
+      ASSERT_EQ(stats.new_vertices[k], capacity + static_cast<Vertex>(k));
+    }
+    // One rebuild per structural flush, plus one for id admission.
+    ASSERT_LE(stats.index_rebuilds,
+              stats.segments + 1 + (stats.new_vertices.empty() ? 0 : 1));
+    inserts += stats.new_vertices.size();
+    combined += stats.segments;
+    const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
+    ASSERT_TRUE(val.ok) << "at update " << i << ": " << val.reason;
+  }
+  EXPECT_GT(inserts, 0u);
+  EXPECT_GT(combined, 0u);
+  EXPECT_EQ(rows_of(dfs.graph()), rows_of(replay(g, stream)));
 }
 
 TEST(Batch, CrossTreeMergeAndSplitInOneBatch) {

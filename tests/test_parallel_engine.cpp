@@ -2,7 +2,7 @@
 // any worker-team size, byte-identical forests and stats. Components of a
 // round step on real threads (rerooter.cpp), so this pins
 //   * the final parent array at 1/2/4/8 workers (single-update path and the
-//     combined batch path),
+//     combined batch path, vertex inserts included),
 //   * every RerootStats counter (round counts included),
 //   * the facade-default knob (num_threads = 0) against an explicit team,
 //   * the (pos, u, v) total order of best_edge_to_chain, which must not
@@ -138,6 +138,52 @@ TEST(ParallelEngine, FacadeDefaultKnobMatchesExplicitTeam) {
       drive(service::Scenario::kAdversarialStar, 96, 48, 8, 3);
   EXPECT_EQ(facade, serial);
   EXPECT_EQ(facade, explicit3);
+}
+
+TEST(ParallelEngine, BatchesWithVertexInsertsDeterministicAcrossThreadCounts) {
+  // Vertex inserts are admitted up front and join the combined pass
+  // (DESIGN.md §7.1). At n = 4096 that pass takes the parallel branches
+  // (pram::kSerialGrain) and the per-round machinery above the serial
+  // cutoff; its forest and stats must not depend on the team size.
+  struct Run {
+    std::vector<Vertex> parent;
+    std::vector<FingerPrint> stats;
+    std::vector<std::size_t> shape;  // per batch: segments, rebuilds, new ids
+    std::size_t combined_with_inserts = 0;
+  };
+  const auto run = [](int threads) {
+    const service::WorkloadSpec spec{service::Scenario::kSocialMix, 4096, 13};
+    service::WorkloadDriver driver(spec);
+    DynamicDfs dfs(service::make_initial_graph(spec), RerootStrategy::kPaper,
+                   nullptr, threads);
+    Run r;
+    for (int b = 0; b < 10; ++b) {
+      std::vector<GraphUpdate> batch;
+      for (int j = 0; j < 12; ++j) batch.push_back(driver.next());
+      const BatchStats bs = dfs.apply_batch(batch);
+      r.stats.push_back(pack(dfs.last_stats()));
+      r.shape.push_back(bs.segments);
+      r.shape.push_back(bs.index_rebuilds);
+      r.shape.insert(r.shape.end(), bs.new_vertices.begin(), bs.new_vertices.end());
+      if (bs.segments > 0 && !bs.new_vertices.empty()) ++r.combined_with_inserts;
+    }
+    const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
+    EXPECT_TRUE(val.ok) << val.reason;
+    r.parent.assign(dfs.parent().begin(), dfs.parent().end());
+    return r;
+  };
+  const Run serial = run(1);
+  ASSERT_GT(serial.combined_with_inserts, 0u)
+      << "the stream must put vertex inserts into combined passes";
+  for (const int threads : {2, 4, 8}) {
+    const Run parallel = run(threads);
+    ASSERT_EQ(serial.parent, parallel.parent)
+        << "parent array diverged at " << threads << " threads";
+    ASSERT_EQ(serial.stats, parallel.stats)
+        << "RerootStats diverged at " << threads << " threads";
+    ASSERT_EQ(serial.shape, parallel.shape)
+        << "batch shape diverged at " << threads << " threads";
+  }
 }
 
 // ---- best_edge_to_chain total order ---------------------------------------
