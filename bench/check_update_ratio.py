@@ -3,9 +3,11 @@
 
 Reads a google-benchmark JSON file (BENCH_update.json) and asserts that
 BM_DynamicUpdate/<n> is at least --min-ratio times faster (per-update wall
-time) than BM_StaticRecompute/<n>. PR 5 cut the epoch tax (parallel/
-allocation-free index rebuild, copy-free rebase, Brent serial completion);
-this guard keeps it from silently creeping back.
+time) than BM_StaticRecompute/<n>, so the epoch tax (the work between
+updates: index rebuild, rebase; see DESIGN.md §9) cannot silently creep
+back. bench/run_bench.sh runs it twice, on a single-thread run
+(OMP_NUM_THREADS=1) and on a default-team run, so a parallel path that
+loses to the serial one on real cores fails it too.
 
 Usage: check_update_ratio.py BENCH_update.json [--n 32768] [--min-ratio 1.3]
 """

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Build (Release) and run the perf-trajectory benchmarks, emitting
 # machine-readable results next to the repo root:
-#   BENCH_update.json      — E1, per-update cost (bench_update)
+#   BENCH_update.json      — E1, per-update cost (bench_update, default
+#                            team; BENCH_update_t1.json is the same run
+#                            under OMP_NUM_THREADS=1)
 #   BENCH_preprocess.json  — E2a, D + tree-index build (bench_preprocess)
 #   BENCH_service.json     — E-service, snapshot-serving layer: read QPS vs
 #                            reader threads, ack latency p50/p99, writer
@@ -56,11 +58,17 @@ if [[ "$SMOKE" == 1 ]]; then
   echo "fuzz smoke soak passed"
 fi
 
+# Ratio guard: the dynamic update path must stay >= 1.3x faster than the
+# static recompute at n = 2^15 (the epoch-tax regression tripwire), both
+# with one thread and with the default team (every core), so a parallel
+# path that loses on the wall clock cannot hide behind either.
+OMP_NUM_THREADS=1 "$BUILD/bench/bench_update" \
+  --benchmark_min_time="$MIN_TIME" \
+  --benchmark_out_format=json --benchmark_out="$ROOT/BENCH_update_t1.json"
+python3 "$ROOT/bench/check_update_ratio.py" "$ROOT/BENCH_update_t1.json" --min-ratio 1.3
 "$BUILD/bench/bench_update" \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_out_format=json --benchmark_out="$ROOT/BENCH_update.json"
-# Ratio guard: the dynamic update path must stay >= 1.3x faster than the
-# static recompute at n = 2^15 (the epoch-tax regression tripwire).
 python3 "$ROOT/bench/check_update_ratio.py" "$ROOT/BENCH_update.json" --min-ratio 1.3
 
 # Observability overhead gate: BM_DynamicUpdate/32768 from the instrumented
@@ -108,7 +116,7 @@ python3 "$ROOT/bench/check_recovery.py" "$ROOT/BENCH_service.json" \
 # without AVX2 — see check_probe_ratio.py).
 python3 "$ROOT/bench/check_probe_ratio.py" "$ROOT/BENCH_oracle.json" --min-ratio 1.3
 
-echo "wrote $ROOT/BENCH_update.json, $ROOT/BENCH_preprocess.json," \
+echo "wrote $ROOT/BENCH_update.json (+ _t1), $ROOT/BENCH_preprocess.json," \
      "$ROOT/BENCH_service.json (+ _metrics.prom, _trace.json)," \
      "$ROOT/BENCH_parallel.json, $ROOT/BENCH_oracle.json and" \
      "$ROOT/BENCH_update_nometrics.json"

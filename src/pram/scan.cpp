@@ -1,5 +1,7 @@
 #include "pram/scan.hpp"
 
+#include <vector>
+
 #include "pram/parallel.hpp"
 #include "util/check.hpp"
 
@@ -43,18 +45,6 @@ std::uint64_t exclusive_scan(std::span<const std::uint32_t> in,
     }
   });
   return block_sum[static_cast<std::size_t>(threads)];
-}
-
-std::vector<std::uint32_t> pack_indices(std::span<const std::uint8_t> flags) {
-  const std::size_t n = flags.size();
-  std::vector<std::uint32_t> ones(n), offsets(n);
-  parallel_for_t(0, n, [&](std::size_t i) { ones[i] = flags[i] ? 1u : 0u; });
-  const std::uint64_t total = exclusive_scan(ones, offsets);
-  std::vector<std::uint32_t> packed(total);
-  parallel_for_t(0, n, [&](std::size_t i) {
-    if (flags[i]) packed[offsets[i]] = static_cast<std::uint32_t>(i);
-  });
-  return packed;
 }
 
 }  // namespace pardfs::pram

@@ -8,16 +8,11 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace pardfs::pram {
 
 // out[i] = sum of in[0..i); returns total sum. out may alias in.
 std::uint64_t exclusive_scan(std::span<const std::uint32_t> in,
                              std::span<std::uint32_t> out);
-
-// Stable parallel compaction: keep elements whose flag is nonzero.
-// Returns the packed vector; order preserved. O(n) work, O(log n) depth.
-std::vector<std::uint32_t> pack_indices(std::span<const std::uint8_t> flags);
 
 }  // namespace pardfs::pram

@@ -2,47 +2,10 @@
 
 #include <utility>
 
-#include "util/check.hpp"
-
 namespace pardfs::service {
-namespace {
-
-const char* kind_letter(GraphUpdate::Kind k) {
-  switch (k) {
-    case GraphUpdate::Kind::kInsertEdge: return "+e";
-    case GraphUpdate::Kind::kDeleteEdge: return "-e";
-    case GraphUpdate::Kind::kInsertVertex: return "+v";
-    case GraphUpdate::Kind::kDeleteVertex: return "-v";
-  }
-  return "?";
-}
-
-}  // namespace
 
 UpdateJournal::UpdateJournal(Graph genesis, Config config)
-    : genesis_(std::move(genesis)), config_(std::move(config)) {
-  if (!config_.file_path.empty()) {
-    file_ = std::fopen(config_.file_path.c_str(), "w");
-    // A journal that cannot open its debug file stays memory-only: the file
-    // is a post-mortem aid, never the source of truth for replay.
-    if (file_ != nullptr) {
-      std::fprintf(file_, "# pardfs journal shard=%s n=%lld\n",
-                   config_.obs_shard.empty() ? "0" : config_.obs_shard.c_str(),
-                   static_cast<long long>(genesis_.capacity()));
-    }
-  }
-}
-
-UpdateJournal::~UpdateJournal() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void UpdateJournal::append_line(const std::string& line) {
-  if (file_ == nullptr) return;
-  std::fputs(line.c_str(), file_);
-  std::fputc('\n', file_);
-  std::fflush(file_);
-}
+    : genesis_(std::move(genesis)), config_(std::move(config)) {}
 
 void UpdateJournal::record_pad(Vertex capacity) {
   std::lock_guard lock(mu_);
@@ -50,7 +13,6 @@ void UpdateJournal::record_pad(Vertex capacity) {
   e.kind = Entry::Kind::kPad;
   e.vertex = capacity;
   log_.push_back(std::move(e));
-  append_line("pad " + std::to_string(capacity));
 }
 
 void UpdateJournal::record_apply(std::span<const GraphUpdate> batch,
@@ -63,15 +25,6 @@ void UpdateJournal::record_apply(std::span<const GraphUpdate> batch,
   e.version_after = version_after;
   e.updates_after = updates_after;
   log_.push_back(std::move(e));
-  if (file_ != nullptr) {
-    std::string line = "apply v" + std::to_string(version_after);
-    for (const GraphUpdate& u : batch) {
-      line += ' ';
-      line += kind_letter(u.kind);
-      line += '(' + std::to_string(u.u) + ',' + std::to_string(u.v) + ')';
-    }
-    append_line(line);
-  }
 }
 
 void UpdateJournal::record_extract(Vertex vertex, std::uint64_t version_after) {
@@ -81,8 +34,6 @@ void UpdateJournal::record_extract(Vertex vertex, std::uint64_t version_after) {
   e.vertex = vertex;
   e.version_after = version_after;
   log_.push_back(std::move(e));
-  append_line("extract " + std::to_string(vertex) + " v" +
-              std::to_string(version_after));
 }
 
 void UpdateJournal::record_adopt(const DynamicDfs::ComponentTransfer& t) {
@@ -91,7 +42,6 @@ void UpdateJournal::record_adopt(const DynamicDfs::ComponentTransfer& t) {
   e.kind = Entry::Kind::kAdopt;
   e.transfer = t;
   log_.push_back(std::move(e));
-  append_line("adopt " + std::to_string(t.vertices.size()) + " vertices");
 }
 
 void UpdateJournal::checkpoint(const Graph& graph,
@@ -110,16 +60,12 @@ void UpdateJournal::checkpoint(const Graph& graph,
     cp.state.rows.emplace_back(nb.begin(), nb.end());
     cp.state.parent.push_back(parent[static_cast<std::size_t>(v)]);
   }
-  const std::size_t dropped = log_.size();
   checkpoint_ = std::move(cp);
   // The point is bounding memory: release the entry storage and the
   // now-superseded genesis graph, not just empty them.
   log_.clear();
   log_.shrink_to_fit();
   genesis_ = Graph();
-  append_line("checkpoint v" + std::to_string(version) + " n=" +
-              std::to_string(static_cast<long long>(graph.capacity())) +
-              " dropped=" + std::to_string(dropped));
 }
 
 std::size_t UpdateJournal::entries() const {

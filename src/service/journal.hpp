@@ -17,17 +17,14 @@
 // accepted; its tickets ack kRetryable.
 //
 // The journal is in-memory (it survives writer-thread crashes, the failure
-// domain of §13, not process death). An optional file backing appends a
-// human-readable line per entry for post-mortem debugging; it is write-only
-// and never read back. Entries are recorded under the shard's engine lock,
-// so the log order is exactly the engine's operation order; replay() runs on
-// the watchdog thread with the same lock held. The log does not grow without
-// bound: checkpoint() periodically captures the engine's current state as a
-// new replay base and drops the recorded prefix (see ServiceConfig::
-// journal_checkpoint_entries).
+// domain of §13, not process death). Entries are recorded under the shard's
+// engine lock, so the log order is exactly the engine's operation order;
+// replay() runs on the watchdog thread with the same lock held. The log does
+// not grow without bound: checkpoint() periodically captures the engine's
+// current state as a new replay base and drops the recorded prefix (see
+// ServiceConfig::journal_checkpoint_entries).
 #pragma once
 
-#include <cstdio>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -48,11 +45,9 @@ class UpdateJournal {
     RerootStrategy strategy = RerootStrategy::kPaper;
     int num_threads = 0;
     std::string obs_shard;  // replayed engines feed the same metric series
-    std::string file_path;  // optional append-only debug log; "" = memory only
   };
 
   UpdateJournal(Graph genesis, Config config);
-  ~UpdateJournal();
   UpdateJournal(const UpdateJournal&) = delete;
   UpdateJournal& operator=(const UpdateJournal&) = delete;
 
@@ -125,14 +120,11 @@ class UpdateJournal {
     std::uint64_t updates_applied = 0;
   };
 
-  void append_line(const std::string& line);
-
   mutable std::mutex mu_;
   Graph genesis_;
   Config config_;
   std::optional<Checkpoint> checkpoint_;
   std::vector<Entry> log_;
-  std::FILE* file_ = nullptr;
 };
 
 }  // namespace pardfs::service

@@ -330,9 +330,6 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
       jcfg.strategy = config_.strategy;
       jcfg.num_threads = config_.num_threads;
       jcfg.obs_shard = S > 1 ? std::to_string(s) : std::string();
-      if (!config_.journal_path_prefix.empty()) {
-        jcfg.file_path = config_.journal_path_prefix + std::to_string(s) + ".log";
-      }
       journal = std::make_unique<UpdateJournal>(g, std::move(jcfg));
     }
     shards_.push_back(std::make_unique<Shard>(

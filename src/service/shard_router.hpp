@@ -76,9 +76,6 @@ struct ServiceConfig {
   // crash recovery: with it off, a crashed shard stays degraded — reads keep
   // serving its last published snapshot, writes to it queue or shed.
   bool enable_journal = true;
-  // Non-empty: each shard also appends a human-readable journal line to
-  // "<prefix><shard>.log" (post-mortem aid; replay never reads it).
-  std::string journal_path_prefix;
   // Checkpoint a shard's journal once it holds this many entries: the
   // engine's current state (graph + forest + version) becomes the new replay
   // base and the entry prefix is dropped, bounding per-shard journal memory

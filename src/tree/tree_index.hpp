@@ -1,9 +1,11 @@
 // Rooted-forest index: the tree-side toolbox of the paper (§5.1, §5.3).
 //
 // Built from a parent array in O(n) work, it answers in O(1):
-//   * parent / depth / subtree size / pre & post order index (Theorem 4),
+//   * parent / depth / subtree size / pre & post order index (Theorem 4's
+//     outputs, computed by one serial stack DFS — see DESIGN.md §6),
 //   * ancestor tests (pre-interval containment),
-//   * LCA (Theorem 6; via Euler tour + sparse table — see lca.hpp),
+//   * LCA (Theorem 6; via Fischer–Heun block RMQ over the DFS's vertex
+//     tour — see lca.hpp),
 //   * child of `a` on the path towards a descendant `d` (binary search over
 //     children ordered by pre index — §5.3 query 3),
 // and supports the path/subtree enumerations of §5.3 in time linear in the
@@ -17,22 +19,19 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/edge.hpp"
-#include "tree/euler_tour.hpp"
 #include "tree/lca.hpp"
 
 namespace pardfs {
 
-// How build() computes the tables. kSerial is the one-socket stack DFS;
-// kParallel is the paper-faithful Theorem 4 construction (children CSR via
-// counting + exclusive scan, Euler tour + list ranking for pre/post/depth/
-// size and the orderings, parallel Fischer–Heun block fill). Both produce
-// byte-identical tables (pinned by tests/test_rebuild.cpp at 1/2/4/8
-// workers); kAuto picks the parallel path when a worker team is available
-// and the forest is large enough to amortize the tour's O(n log n) work.
-enum class TreeBuildMode : std::uint8_t { kAuto, kSerial, kParallel };
+// Both values run the same O(n) build (children CSR, stack DFS, Fischer–Heun
+// fill). The enum survives only because the benchmark harness
+// (perfbench/src/layers.cpp) names both values; it goes when that harness
+// drops the argument.
+enum class TreeBuildMode : std::uint8_t { kAuto, kSerial };
 
 class TreeIndex {
  public:
@@ -41,8 +40,8 @@ class TreeIndex {
   // parent[v] == kNullVertex marks v as a root (if alive[v]) or dead (if not).
   // If `alive` is empty every vertex is considered alive.
   // Rebuilding into the same object reuses every buffer (including the LCA
-  // table's and the tour scratch): the steady-state epoch rebuild allocates
-  // nothing once capacities have stabilized — see heap_capacity_bytes().
+  // table's): the steady-state epoch rebuild allocates nothing once
+  // capacities have stabilized — see heap_capacity_bytes().
   void build(std::span<const Vertex> parent, std::span<const std::uint8_t> alive = {},
              TreeBuildMode mode = TreeBuildMode::kAuto);
 
@@ -116,17 +115,14 @@ class TreeIndex {
   // a and b must be in the same tree. O(output).
   std::vector<Vertex> tree_path(Vertex a, Vertex b) const;
 
-  // Sum of owned heap capacities in bytes, tour scratch and LCA table
+  // Sum of owned heap capacities in bytes, rebuild scratch and LCA table
   // included. A second build() of the same forest shape must leave this
   // unchanged (zero new heap growth) — pinned by tests/test_rebuild.cpp.
   std::size_t heap_capacity_bytes() const;
 
  private:
-  void build_children_csr(std::span<const Vertex> parent,
-                          std::span<const std::uint8_t> alive, bool parallel);
-  void build_serial(std::span<const std::uint8_t> alive);
-  void build_parallel(std::span<const Vertex> parent,
-                      std::span<const std::uint8_t> alive);
+  void build_children_csr(std::span<const std::uint8_t> alive);
+  void build_dfs();
 
   std::vector<Vertex> parent_;
   std::vector<Vertex> tree_root_;
@@ -138,13 +134,11 @@ class TreeIndex {
   std::int32_t num_indexed_ = 0;
   LcaTable lca_;
   // Rebuild scratch, recycled across builds (the LCA table swaps its
-  // previous buffers back into the first three on every build; the parallel
-  // path swaps the member tables through tour_scratch_ the same way).
+  // previous buffers back into the first three on every build).
   std::vector<Vertex> euler_scratch_;
   std::vector<std::int32_t> euler_depth_scratch_, first_pos_scratch_;
   std::vector<std::int32_t> cursor_scratch_;
   std::vector<std::pair<Vertex, std::int32_t>> stack_scratch_;
-  EulerTourTables tour_scratch_;
 };
 
 }  // namespace pardfs

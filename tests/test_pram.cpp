@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "pram/list_ranking.hpp"
-#include "pram/merge_sort.hpp"
 #include "pram/parallel.hpp"
 #include "pram/scan.hpp"
 #include "util/random.hpp"
@@ -46,74 +44,6 @@ TEST(Scan, ExclusivePrefixSums) {
     }
     EXPECT_EQ(total, acc);
   }
-}
-
-TEST(Scan, PackIndicesKeepsOrder) {
-  std::vector<std::uint8_t> flags = {1, 0, 0, 1, 1, 0, 1};
-  const auto packed = pack_indices(flags);
-  const std::vector<std::uint32_t> expected = {0, 3, 4, 6};
-  EXPECT_EQ(packed, expected);
-}
-
-TEST(ListRanking, SingleList) {
-  // 3 -> 1 -> 4 -> 0 -> end; node 2 is its own tail.
-  std::vector<std::uint32_t> next = {kListEnd, 4, kListEnd, 1, 0};
-  const auto rank = list_rank(next);
-  EXPECT_EQ(rank[3], 3u);
-  EXPECT_EQ(rank[1], 2u);
-  EXPECT_EQ(rank[4], 1u);
-  EXPECT_EQ(rank[0], 0u);
-  EXPECT_EQ(rank[2], 0u);
-}
-
-TEST(ListRanking, LongChain) {
-  const std::size_t n = 4096;
-  std::vector<std::uint32_t> next(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    next[i] = i + 1 < n ? static_cast<std::uint32_t>(i + 1) : kListEnd;
-  }
-  const auto rank = list_rank(next);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(rank[i], n - 1 - i);
-    if (i % 577 == 0) continue;  // spot checks are enough for failure output
-  }
-}
-
-TEST(ListRanking, ManyDisjointLists) {
-  // Pairs: 0->1, 2->3, ...
-  const std::size_t n = 1000;
-  std::vector<std::uint32_t> next(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    next[i] = i % 2 == 0 ? static_cast<std::uint32_t>(i + 1) : kListEnd;
-  }
-  const auto rank = list_rank(next);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(rank[i], i % 2 == 0 ? 1u : 0u);
-}
-
-TEST(MergeSort, SortsRandomKeys) {
-  Rng rng(42);
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{100}, std::size_t{10000}}) {
-    std::vector<std::uint32_t> data(n);
-    for (auto& x : data) x = static_cast<std::uint32_t>(rng());
-    std::vector<std::uint32_t> expected = data;
-    std::sort(expected.begin(), expected.end());
-    merge_sort(data);
-    EXPECT_EQ(data, expected) << "n=" << n;
-  }
-}
-
-TEST(MergeSort, PairsSortStablyByKey) {
-  Rng rng(7);
-  const std::size_t n = 20000;
-  std::vector<std::uint64_t> data(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    data[i] = (rng.below(50) << 32) | i;  // key in high bits, unique payload low
-  }
-  std::vector<std::uint64_t> expected = data;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](std::uint64_t a, std::uint64_t b) { return (a >> 32) < (b >> 32); });
-  merge_sort_pairs(data);
-  EXPECT_EQ(data, expected);
 }
 
 TEST(Rng, DeterministicAndUnbiasedish) {

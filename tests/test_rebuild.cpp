@@ -1,10 +1,16 @@
-// The rebuild path (DESIGN.md §9): the parallel Theorem-4 TreeIndex build
-// must be byte-identical to the serial fallback at every worker count, and
-// the steady-state rebuild must be allocation-free — a second build of the
-// same shape performs zero new heap growth (capacity-stable).
+// The rebuild path (DESIGN.md §9): one O(n) TreeIndex build whose tables
+// are byte-identical at every worker-team size (the Fischer–Heun block fill
+// inside is a parallel_for above the facade's serial grain), and whose
+// steady-state rebuild is allocation-free — a second build of the same
+// shape performs zero new heap growth (capacity-stable).
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 #include "baseline/static_dfs.hpp"
 #include "core/adjacency_oracle.hpp"
@@ -101,24 +107,8 @@ std::vector<Shape> build_shapes() {
   return shapes;
 }
 
-TEST(Rebuild, ParallelBuildMatchesSerialAtEveryWorkerCount) {
-  const auto shapes = build_shapes();
-  for (const Shape& s : shapes) {
-    TreeIndex serial;
-    serial.build(s.parent, s.alive, TreeBuildMode::kSerial);
-    for (const int threads : {1, 2, 4, 8}) {
-      pram::set_num_threads(threads);
-      TreeIndex par;
-      par.build(s.parent, s.alive, TreeBuildMode::kParallel);
-      expect_identical(serial, par, static_cast<Vertex>(s.parent.size()), s.name);
-    }
-    pram::set_num_threads(0);
-  }
-}
-
 TEST(Rebuild, AutoModeMatchesSerial) {
-  // Whatever kAuto dispatches to (worker count and size dependent), the
-  // observable index must be the serial one.
+  // Both modes name the same build; the observable index must agree.
   const auto shapes = build_shapes();
   for (const Shape& s : shapes) {
     TreeIndex serial;
@@ -133,19 +123,95 @@ TEST(Rebuild, TreeIndexRebuildIsCapacityStable) {
   Rng rng(7);
   Graph g = gen::random_connected(2000, 5000, rng);
   const std::vector<Vertex> parent = static_dfs(g);
-  for (const TreeBuildMode mode :
-       {TreeBuildMode::kSerial, TreeBuildMode::kParallel}) {
-    TreeIndex idx;
-    // Two builds to let every buffer (including the LCA and tour swap
-    // pairs) reach its steady capacity, then the probe must not move.
-    idx.build(parent, {}, mode);
-    idx.build(parent, {}, mode);
-    const std::size_t stable = idx.heap_capacity_bytes();
-    EXPECT_GT(stable, 0u);
-    for (int i = 0; i < 5; ++i) {
-      idx.build(parent, {}, mode);
-      EXPECT_EQ(idx.heap_capacity_bytes(), stable)
-          << "mode " << static_cast<int>(mode) << " rebuild " << i;
+  TreeIndex idx;
+  // Two builds to let every buffer (including the LCA swap pairs) reach its
+  // steady capacity, then the probe must not move.
+  idx.build(parent, {}, TreeBuildMode::kSerial);
+  idx.build(parent, {}, TreeBuildMode::kSerial);
+  const std::size_t stable = idx.heap_capacity_bytes();
+  EXPECT_GT(stable, 0u);
+  for (int i = 0; i < 5; ++i) {
+    idx.build(parent, {}, TreeBuildMode::kSerial);
+    EXPECT_EQ(idx.heap_capacity_bytes(), stable) << "rebuild " << i;
+  }
+}
+
+// LCA by walking parent pointers: mark u's root path, then climb from v to
+// the first marked vertex. Independent of every table the index builds.
+Vertex walk_lca(const std::vector<Vertex>& parent, Vertex u, Vertex v,
+                std::vector<std::uint32_t>& mark, std::uint32_t stamp) {
+  for (Vertex x = u; x != kNullVertex; x = parent[static_cast<std::size_t>(x)]) {
+    mark[static_cast<std::size_t>(x)] = stamp;
+  }
+  for (Vertex x = v; x != kNullVertex; x = parent[static_cast<std::size_t>(x)]) {
+    if (mark[static_cast<std::size_t>(x)] == stamp) return x;
+  }
+  return kNullVertex;
+}
+
+// Restores the facade's and OpenMP's default team sizes on scope exit, so a
+// failed assertion cannot leak a team size into later tests.
+struct TeamSizeGuard {
+#if defined(_OPENMP)
+  int omp_default = omp_get_max_threads();
+#endif
+  ~TeamSizeGuard() {
+    pram::set_num_threads(0);
+#if defined(_OPENMP)
+    omp_set_num_threads(omp_default);
+#endif
+  }
+};
+
+TEST(Rebuild, LargeForestsMatchAtEveryTeamSize) {
+  // n >= 2^14 puts the LCA table's block fill (2n / 8 blocks) above
+  // pram::kSerialGrain, so its parallel_for really forks at teams > 1.
+  constexpr Vertex kN = Vertex{1} << 14;
+  std::vector<Shape> shapes;
+  Rng rng(1414);
+  {
+    Graph g = gen::random_connected(kN, 3 * kN, rng);
+    shapes.push_back({"random_connected", static_dfs(g), {}});
+  }
+  {
+    Graph g = gen::barabasi_albert(kN + 1000, 3, rng);
+    shapes.push_back({"barabasi_albert", static_dfs(g), {}});
+  }
+  {
+    Graph g = gen::random_connected(kN + 2000, 2 * kN, rng);
+    for (int d = 0; d < 1500; ++d) {
+      const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(kN)));
+      if (g.is_alive(v)) g.remove_vertex(v);
+    }
+    Shape s{"dead_vertices", static_dfs(g), {}};
+    s.alive.assign(g.alive().begin(), g.alive().end());
+    shapes.push_back(std::move(s));
+  }
+
+  const TeamSizeGuard restore;
+  for (const Shape& s : shapes) {
+    const Vertex n = static_cast<Vertex>(s.parent.size());
+    ASSERT_GE(n, kN) << s.name;
+    TreeIndex reference;
+    std::vector<std::uint32_t> mark(s.parent.size(), 0);
+    std::uint32_t stamp = 0;
+    for (const int team : {1, 2, 4, 8}) {
+      pram::set_num_threads(team);
+#if defined(_OPENMP)
+      omp_set_num_threads(team);
+#endif
+      TreeIndex idx;
+      idx.build(s.parent, s.alive);
+      if (team > 1) expect_identical(reference, idx, n, s.name);
+      Rng pairs(static_cast<std::uint64_t>(team));
+      for (int t = 0; t < 100; ++t) {
+        const Vertex u = static_cast<Vertex>(pairs.below(static_cast<std::uint64_t>(n)));
+        const Vertex v = static_cast<Vertex>(pairs.below(static_cast<std::uint64_t>(n)));
+        if (!idx.in_forest(u) || !idx.in_forest(v)) continue;
+        ASSERT_EQ(idx.lca(u, v), walk_lca(s.parent, u, v, mark, ++stamp))
+            << s.name << " team=" << team << " u=" << u << " v=" << v;
+      }
+      if (team == 1) reference = std::move(idx);
     }
   }
 }
