@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "util/check.hpp"
 
@@ -49,11 +48,17 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
   for (const Vertex v : changes.deleted_vertices) {
     dead[static_cast<std::size_t>(v)] = 1;
   }
-  std::unordered_set<std::uint64_t> cut;
-  cut.reserve(changes.cut_edges.size() * 2);
-  for (const auto& [p, c] : changes.cut_edges) cut.insert(undirected_key(p, c));
-  const auto is_cut = [&](Vertex a, Vertex b) {
-    return !cut.empty() && cut.contains(undirected_key(a, b));
+  // Cut edges are tree edges of the pre-batch forest, and every query below
+  // asks about a (parent, child) pair of `cur`, so a cut is a mark on its
+  // child endpoint.
+  std::vector<std::uint8_t> cut_below(cap, 0);
+  for (const auto& [p, c] : changes.cut_edges) {
+    PARDFS_CHECK_MSG(cur.parent(c) == p, "cut edge is not a pre-batch tree edge");
+    cut_below[static_cast<std::size_t>(c)] = 1;
+  }
+  const auto is_cut = [&]([[maybe_unused]] Vertex parent, Vertex child) {
+    PARDFS_DCHECK(cur.parent(child) == parent);
+    return cut_below[static_cast<std::size_t>(child)] != 0;
   };
 
   // ---- affected vertices (O(k) of them) ------------------------------------

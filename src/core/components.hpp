@@ -36,6 +36,10 @@ struct Piece {
   Vertex root = kNullVertex;    // kSubtree: current-tree subtree root
   Vertex top = kNullVertex;     // kPath: shallow end in the current tree
   Vertex bottom = kNullVertex;  // kPath: deep end in the current tree
+  // kPath, engine-internal: index of this piece's grouping memo in the
+  // owning Component's `memos`; -1 until the piece is first swept in a
+  // Rerooter::run_components pass. Copies of the piece carry it along.
+  std::int32_t memo = -1;
 
   static Piece subtree(Vertex r) { return {PieceKind::kSubtree, r, kNullVertex, kNullVertex}; }
   static Piece path(Vertex top, Vertex bottom) {
@@ -49,6 +53,9 @@ struct Component {
   std::int32_t entry_piece = -1;       // index of the piece containing entry
   std::int32_t budget = 0;             // N0 of the originating reroot (thresholds)
   std::vector<Piece> pieces;
+  // Engine-internal per-pass neighbour memos of the path pieces (indexed by
+  // Piece::memo; see finish_traversal in rerooter.cpp). Empty on input.
+  std::vector<std::vector<Vertex>> memos;
 };
 
 // A base-monotone fragment of a current-tree path, ordered near-to-far.

@@ -222,10 +222,11 @@ class MiniUf {
 // Applies a planned traversal: writes T* parents along the chain, groups the
 // leftover pieces into components (edge-connected sets), and assigns each
 // new component its entry via the components property (the edge to the chain
-// that the DFS retreat meets first).
-void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
+// that the DFS retreat meets first). `comp` is consumed: the neighbour memos
+// of its pieces move into the new components that inherit those pieces.
+void finish_traversal(detail::EngineCtx& ctx, Component& comp,
                       detail::TraversalPlan&& plan, std::span<Vertex> parent_out,
-                      std::vector<Component>& next) {
+                      std::vector<Component>& next, pram::CostModel* cost) {
   const TreeIndex& cur = ctx.cur();
   PARDFS_CHECK(!plan.pstar.empty());
   PARDFS_CHECK(plan.pstar.front() == comp.entry);
@@ -252,6 +253,20 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
   // union-find partition, and with it the emitted component order, is
   // edge-set determined, so the result is identical to the pairwise-query
   // sweep at a fraction of the probes.
+  //
+  // Per-pass neighbour memo: a path piece's first sweep records, in sweep
+  // order, the neighbours that lie in OTHER leftover pieces; the list then
+  // travels with the piece (Piece::memo into its Component's memos), and
+  // every later round that sweeps the same piece walks only that list,
+  // compacting away the entries visited since. This is exact: the graph is
+  // fixed during a pass, the unvisited set only shrinks, and a piece that
+  // passes through a round keeps its vertex set (planners make a NEW piece
+  // for any halved or split path, and a new piece starts without a memo) —
+  // so the memo stays a superset of the piece's live cross-piece neighbours,
+  // the unions are the full sweep's unions, and T*, the component order and
+  // every RerootStats counter are unchanged. A re-sweep charges the probes
+  // it makes (the list length) to the cost model; the grouping is still one
+  // query batch.
   const std::size_t k = plan.leftovers.size();
   std::vector<std::size_t> path_idx;
   for (std::size_t i = 0; i < k; ++i) {
@@ -286,7 +301,21 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
   MiniUf uf(k);
   if (!path_idx.empty()) {
     for (const std::size_t p : path_idx) {
-      const Piece& pp = plan.leftovers[p];
+      Piece& pp = plan.leftovers[p];
+      if (pp.memo >= 0) {
+        std::vector<Vertex>& memo = comp.memos[static_cast<std::size_t>(pp.memo)];
+        std::size_t kept = 0;
+        for (const Vertex z : memo) {
+          const std::int32_t j = piece_of(z);
+          if (j < 0) continue;  // visited since the memo was taken
+          memo[kept++] = z;
+          uf.unite(p, static_cast<std::size_t>(j));
+        }
+        if (cost != nullptr) cost->add_query(memo.size());
+        memo.resize(kept);
+        continue;
+      }
+      std::vector<Vertex> memo;
       for (Vertex v = pp.bottom;; v = cur.parent(v)) {
         // The next chain vertex's adjacency row is a dependent pointer chase
         // away; issue its prefetch before sweeping v's row.
@@ -294,11 +323,14 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
         oracle.for_each_current_neighbor(v, [&](Vertex z) {
           const std::int32_t j = piece_of(z);
           if (j >= 0 && j != static_cast<std::int32_t>(p)) {
-            uf.unite(static_cast<std::size_t>(p), static_cast<std::size_t>(j));
+            memo.push_back(z);
+            uf.unite(p, static_cast<std::size_t>(j));
           }
         });
         if (v == pp.top) break;
       }
+      pp.memo = static_cast<std::int32_t>(comp.memos.size());
+      comp.memos.push_back(std::move(memo));
     }
     ctx.count_batch();  // grouping = one logical set of independent queries
   }
@@ -371,7 +403,12 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
       if (static_cast<std::int32_t>(i) == a.entry_piece) {
         nc.entry_piece = static_cast<std::int32_t>(nc.pieces.size());
       }
-      nc.pieces.push_back(plan.leftovers[i]);
+      Piece piece = plan.leftovers[i];
+      if (piece.memo >= 0) {
+        nc.memos.push_back(std::move(comp.memos[static_cast<std::size_t>(piece.memo)]));
+        piece.memo = static_cast<std::int32_t>(nc.memos.size() - 1);
+      }
+      nc.pieces.push_back(piece);
     }
     PARDFS_CHECK_MSG(nc.entry_piece >= 0, "entry vertex not inside any piece");
     next.push_back(std::move(nc));
@@ -431,6 +468,8 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
   if (active.empty()) return stats;
   for (const Component& c : active) {
     PARDFS_CHECK(!c.pieces.empty());
+    PARDFS_CHECK_MSG(c.memos.empty(), "neighbour memos live for one pass");
+    for (const Piece& p : c.pieces) PARDFS_CHECK(p.memo < 0);
     PARDFS_CHECK(c.entry_piece >= 0 &&
                  c.entry_piece < static_cast<std::int32_t>(c.pieces.size()));
   }
@@ -474,7 +513,7 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
       detail::TraversalPlan plan =
           detail::plan_traversal(ctx, active[i], strategy_);
       detail::finish_traversal(ctx, active[i], std::move(plan), parent_out,
-                               emitted[i]);
+                               emitted[i], cost_);
       comp_batches[i] = ctx.step_batches();
     };
     if (threads <= 1 || k == 1) {

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 
 #include "core/dynamic_dfs.hpp"
 #include "graph/generators.hpp"
+#include "pram/cost_model.hpp"
+#include "service/workload.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
 
@@ -380,6 +384,72 @@ TEST(Batch, DrainWholeGraphInBatches) {
   }
   dfs.apply_batch(kill);
   EXPECT_EQ(dfs.graph().num_vertices(), 0);
+}
+
+// FNV-1a over the parent array's bytes.
+std::uint64_t fnv1a(std::span<const Vertex> parent) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const Vertex v : parent) {
+    auto x = static_cast<std::uint32_t>(v);
+    for (int b = 0; b < 4; ++b, x >>= 8) {
+      h ^= x & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Byte-identity pin for multi-round engine passes. At n = 2^13, 16-update
+// social_mix batches reroot components large enough to run many engine
+// rounds above the serial cutoff, so pieces pass through rounds unchanged
+// and the grouping sweep's per-pass neighbour memo (rerooter.cpp) is reused.
+// The constants were recorded before that memo existed: the forest after
+// every batch, the summed RerootStats of each batch's last segment, and the
+// query batches of every segment (the cost model's query rounds) must not
+// move at any team size.
+TEST(Batch, MultiRoundPassesMatchPinnedForests) {
+  constexpr int kBatches = 24;
+  constexpr std::size_t kBatchSize = 16;
+  constexpr std::array<std::uint64_t, kBatches> kParentHash = {
+      0xae67c709f7eacc2dull, 0x9eead0cef71e7d07ull, 0x2ec39ad2259df6cfull,
+      0x626b167663e2cf31ull, 0xe66531d8e219ba89ull, 0xde3a752642534fb3ull,
+      0xb1e62b4322686ee7ull, 0xb844b5120f4eda11ull, 0xcc372629d14905b3ull,
+      0x89bfe4ac6b91e7b3ull, 0x8990ecf8862b2e36ull, 0x63e4382c9a465a4aull,
+      0xd2c6c5ac757fd070ull, 0xd4f1dea49246d919ull, 0xe2c19919e0efd4bcull,
+      0x45939854b5fb3d3bull, 0x6a501c279fb772d6ull, 0xb8102f296d8ad4b8ull,
+      0x1812ace01d56ba77ull, 0xdd4e6d338e44e6deull, 0x3052a160819be77dull,
+      0xac092ecf5319ba2bull, 0x50fc7e98ec8604f2ull, 0x01bf561c500cf97bull};
+  constexpr std::uint64_t kGlobalRounds = 703;
+  constexpr std::uint64_t kQueryBatches = 1361;
+  constexpr std::uint64_t kComponents = 42537;
+  constexpr std::uint64_t kSerialFinishes = 41858;
+  constexpr std::uint64_t kCostQueryRounds = 1361;
+
+  for (const int team : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "team " << team);
+    const service::WorkloadSpec spec{service::Scenario::kSocialMix, 1 << 13, 5};
+    service::WorkloadDriver driver(spec);
+    pram::CostModel cost;
+    DynamicDfs dfs(service::make_initial_graph(spec), RerootStrategy::kPaper,
+                   &cost, team);
+    RerootStats sum;
+    std::vector<GraphUpdate> batch;
+    for (int b = 0; b < kBatches; ++b) {
+      batch.clear();
+      for (std::size_t j = 0; j < kBatchSize; ++j) batch.push_back(driver.next());
+      dfs.apply_batch(batch);
+      sum.accumulate(dfs.last_stats());
+      EXPECT_EQ(fnv1a(dfs.parent()), kParentHash[static_cast<std::size_t>(b)])
+          << "forest diverged after batch " << b;
+    }
+    EXPECT_EQ(sum.global_rounds, kGlobalRounds);
+    EXPECT_EQ(sum.query_batches, kQueryBatches);
+    EXPECT_EQ(sum.components_processed, kComponents);
+    EXPECT_EQ(sum.serial_finishes, kSerialFinishes);
+    EXPECT_EQ(cost.snapshot().query_rounds, kCostQueryRounds);
+    const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
+    EXPECT_TRUE(val.ok) << val.reason;
+  }
 }
 
 TEST(Batch, EmptyBatchIsANoop) {
