@@ -23,7 +23,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "service/dfs_service.hpp"
+#include "service/shard_router.hpp"
 #include "service/workload.hpp"
 #include "util/random.hpp"
 
@@ -54,12 +54,12 @@ struct ObsDump {
 
 // A reader performs batches of queries, reloading the snapshot between
 // batches (the serving pattern: one atomic load amortized over many answers).
-std::uint64_t run_reader_queries(const DfsService& svc, Rng& rng,
+std::uint64_t run_reader_queries(const ShardRouter& svc, Rng& rng,
                                  std::uint64_t total) {
   std::uint64_t answered = 0;
   std::uint64_t sink = 0;
   while (answered < total) {
-    const SnapshotPtr snap = svc.snapshot();
+    const SnapshotPtr snap = svc.shard_snapshot(0);
     const Vertex cap = snap->capacity();
     for (int q = 0; q < 64 && answered < total; ++q, ++answered) {
       const Vertex u = static_cast<Vertex>(rng.below(cap));
@@ -78,7 +78,7 @@ std::uint64_t run_reader_queries(const DfsService& svc, Rng& rng,
 void BM_ServiceReadThroughput(benchmark::State& state) {
   const int readers = static_cast<int>(state.range(0));
   const WorkloadSpec spec{Scenario::kReadHeavy, 1 << 12, 42};
-  DfsService svc(make_initial_graph(spec));
+  ShardRouter svc(make_initial_graph(spec));
   std::atomic<bool> stop_producer{false};
   std::thread producer([&] {
     WorkloadDriver driver(spec);
@@ -117,7 +117,7 @@ void BM_ServiceUpdateLatency(benchmark::State& state) {
   const auto scenario = static_cast<Scenario>(state.range(0));
   const WorkloadSpec spec{scenario, 1 << 11, 7};
   WorkloadDriver driver(spec);
-  DfsService svc(make_initial_graph(spec));
+  ShardRouter svc(make_initial_graph(spec));
   std::atomic<bool> stop_readers{false};
   std::vector<std::thread> pool;
   for (int r = 0; r < 2; ++r) {
@@ -159,14 +159,14 @@ void BM_ServiceScenarioMix(benchmark::State& state) {
   const auto scenario = static_cast<Scenario>(state.range(0));
   const WorkloadSpec spec{scenario, 1 << 11, 13};
   WorkloadDriver driver(spec);
-  DfsService svc(make_initial_graph(spec));
+  ShardRouter svc(make_initial_graph(spec));
   const double reads = read_fraction(scenario);
   Rng rng(31);
   std::uint64_t sink = 0;
   std::vector<UpdateTicket> tickets;
   for (auto _ : state) {
     if (rng.uniform() < reads) {
-      const SnapshotPtr snap = svc.snapshot();
+      const SnapshotPtr snap = svc.shard_snapshot(0);
       const Vertex u = static_cast<Vertex>(rng.below(snap->capacity()));
       sink += static_cast<std::uint64_t>(snap->root_of(u));
       sink += static_cast<std::uint64_t>(snap->depth(u));
@@ -202,7 +202,7 @@ void BM_ServiceWriterThroughput(benchmark::State& state) {
   Rng grng(21);
   ServiceConfig config;
   config.queue_capacity = 1 << 12;
-  DfsService svc(gen::random_connected(n, 3 * static_cast<std::int64_t>(n), grng),
+  ShardRouter svc(gen::random_connected(n, 3 * static_cast<std::int64_t>(n), grng),
                  config);
   constexpr int kPerProducerPerIter = 128;
   for (auto _ : state) {

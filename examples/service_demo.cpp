@@ -2,7 +2,7 @@
 //
 //   $ example_service_demo
 //
-// Starts a DfsService over a Barabási–Albert social graph, runs four reader
+// Starts a ShardRouter over a Barabási–Albert social graph, runs four reader
 // threads answering ancestry/connectivity queries against immutable
 // snapshots, and streams the social-mix workload through the MPSC queue.
 // Prints the serving stats at the end: how the writer coalesced concurrent
@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "service/dfs_service.hpp"
+#include "service/shard_router.hpp"
 #include "service/workload.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
@@ -23,10 +23,10 @@ using namespace pardfs::service;
 int main() {
   const WorkloadSpec spec{Scenario::kSocialMix, 2000, 1};
   WorkloadDriver driver(spec);
-  DfsService svc(make_initial_graph(spec));
+  ShardRouter svc(make_initial_graph(spec));
   std::printf("serving a %s graph: %d vertices, %lld edges\n",
-              scenario_name(spec.scenario), svc.snapshot()->num_vertices(),
-              static_cast<long long>(svc.snapshot()->num_edges()));
+              scenario_name(spec.scenario), svc.shard_snapshot(0)->num_vertices(),
+              static_cast<long long>(svc.shard_snapshot(0)->num_edges()));
 
   // Four readers answer queries against whatever snapshot is current.
   std::atomic<bool> stop{false};
@@ -37,7 +37,7 @@ int main() {
       Rng rng(100 + r);
       std::uint64_t sink = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        const SnapshotPtr snap = svc.snapshot();
+        const SnapshotPtr snap = svc.shard_snapshot(0);
         for (int q = 0; q < 128; ++q) {
           const Vertex u = static_cast<Vertex>(rng.below(snap->capacity()));
           const Vertex v = static_cast<Vertex>(rng.below(snap->capacity()));
@@ -67,7 +67,7 @@ int main() {
   svc.stop();
 
   const ServiceStats stats = svc.stats();
-  const SnapshotPtr final_snap = svc.snapshot();
+  const SnapshotPtr final_snap = svc.shard_snapshot(0);
   std::printf("final snapshot: version %llu, %d vertices, %lld edges\n",
               static_cast<unsigned long long>(final_snap->version()),
               final_snap->num_vertices(),
@@ -84,7 +84,7 @@ int main() {
               static_cast<unsigned long long>(stats.index_rebuilds),
               static_cast<double>(stats.index_rebuilds) /
                   static_cast<double>(stats.updates_applied));
-  const auto val = validate_dfs_forest(svc.core().graph(), svc.core().parent());
+  const auto val = validate_dfs_forest(svc.core(0).graph(), svc.core(0).parent());
   std::printf("final forest valid: %s (last ack version %llu)\n",
               val.ok ? "yes" : val.reason.c_str(),
               static_cast<unsigned long long>(last_version));

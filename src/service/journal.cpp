@@ -85,15 +85,16 @@ UpdateJournal::ReplayResult UpdateJournal::replay() const {
     if (checkpoint_.has_value()) {
       Graph base;
       base.pad_to(checkpoint_->capacity);
-      ReplayResult out{DynamicDfs(std::move(base), config_.strategy, nullptr,
-                                  config_.num_threads, -1, config_.obs_shard),
-                       checkpoint_->version, checkpoint_->updates_applied, {}};
+      ReplayResult out{
+          DynamicDfs(std::move(base), RerootStrategy::kPaper, nullptr,
+                     config_.num_threads, -1, config_.obs_shard),
+          checkpoint_->version, checkpoint_->updates_applied, {}};
       if (!checkpoint_->state.vertices.empty()) {
         out.engine.adopt_component(checkpoint_->state);
       }
       return out;
     }
-    return ReplayResult{DynamicDfs(genesis_, config_.strategy, nullptr,
+    return ReplayResult{DynamicDfs(genesis_, RerootStrategy::kPaper, nullptr,
                                    config_.num_threads, -1, config_.obs_shard),
                         1, 0, {}};
   }();

@@ -39,10 +39,10 @@ namespace pardfs::service {
 class UpdateJournal {
  public:
   // Mirror of the shard's engine construction parameters: replay must build
-  // its DynamicDfs with exactly the configuration of the live one, or the
-  // determinism argument (and the byte-identical guarantee) breaks.
+  // its DynamicDfs with exactly the configuration of the live one (the
+  // paper's strategy, this team cap), or the determinism argument (and the
+  // byte-identical guarantee) breaks.
   struct Config {
-    RerootStrategy strategy = RerootStrategy::kPaper;
     int num_threads = 0;
     std::string obs_shard;  // replayed engines feed the same metric series
   };

@@ -20,7 +20,7 @@
 namespace pardfs::service {
 namespace {
 
-// Control-plane clock: heartbeats, staleness bounds and recovery timing must
+// Control-plane clock: heartbeats, stall detection and recovery timing must
 // keep working when metrics are compiled out (obs::now_ns() is 0 then), so
 // the supervision layer reads steady_clock directly.
 std::uint64_t mono_ns() {
@@ -190,7 +190,7 @@ class ShardRouter::Directory {
   std::mutex grow_mu_;
 };
 
-// One full single-writer serving stack (dfs_service.hpp's former internals).
+// One full single-writer serving stack.
 // `mu` is the engine lock: the shard's writer holds it while applying and
 // publishing; a merge executed by another shard's writer holds both involved
 // engine locks (ascending id order). Snapshot loads never take it.
@@ -198,8 +198,8 @@ struct ShardRouter::Shard {
   Shard(std::size_t id_, Graph g, const ServiceConfig& cfg,
         std::string obs_label)
       : id(id_),
-        dfs(std::move(g), cfg.strategy, nullptr, cfg.num_threads, -1,
-            std::move(obs_label)),
+        dfs(std::move(g), RerootStrategy::kPaper, nullptr, cfg.num_threads,
+            -1, std::move(obs_label)),
         queue(cfg.queue_capacity) {}
 
   const std::size_t id;
@@ -239,9 +239,6 @@ struct ShardRouter::Shard {
   // Journal replay threw (journal disabled or itself damaged): the watchdog
   // stops retrying; the shard degrades to read-only until stop().
   std::atomic<bool> unrecoverable{false};
-  // publish() time on the control-plane clock, for the staleness admission
-  // bound (last_publish_ns above uses the obs clock, which can be 0).
-  std::atomic<std::uint64_t> last_publish_mono_ns{0};
   std::atomic<std::uint64_t> retryable_acks{0};
   std::atomic<std::uint64_t> overload_sheds{0};
   // This shard's service series (S == 1: the legacy unlabeled ones).
@@ -261,6 +258,15 @@ struct ShardRouter::BatchDelta {
   std::unordered_map<std::uint64_t, bool> edges;  // undirected key -> present
   std::unordered_set<Vertex> dead;
   Vertex next_vertex = 0;  // first id not yet assigned
+};
+
+// What apply_locked leaves for ack_locked: the accepted tickets, in batch
+// order, and what each resolves to.
+struct ShardRouter::Applied {
+  std::vector<UpdateTicket> tickets;
+  std::vector<Vertex> assigned;           // the new id of an insert, else null
+  std::vector<std::uint64_t> enqueue_ns;  // for the ack latency
+  std::uint64_t version = 0;              // the publishing version
 };
 
 ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
@@ -327,7 +333,6 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
     std::unique_ptr<UpdateJournal> journal;
     if (config_.enable_journal) {
       UpdateJournal::Config jcfg;
-      jcfg.strategy = config_.strategy;
       jcfg.num_threads = config_.num_threads;
       jcfg.obs_shard = S > 1 ? std::to_string(s) : std::string();
       journal = std::make_unique<UpdateJournal>(g, std::move(jcfg));
@@ -426,23 +431,12 @@ bool ShardRouter::try_submit(GraphUpdate update, UpdateTicket* ticket) {
 }
 
 // Admission control: shed with a pre-acked kOverloaded ticket when the
-// target shard's queue is past the depth bound, or its snapshot is older
-// than the staleness bound with work still queued (an idle shard's old
-// snapshot is freshness, not overload). Both bounds default to off.
+// target shard's queue is past the depth bound (default off).
 bool ShardRouter::shed_overloaded(Shard& sh, UpdateTicket* out) {
-  bool overloaded = false;
-  if (config_.max_queue_depth != 0 &&
-      sh.queue.size() >= config_.max_queue_depth) {
-    overloaded = true;
-  } else if (config_.max_staleness_ms != 0 && sh.queue.size() > 0) {
-    const std::uint64_t last = sh.last_publish_mono_ns.load(
-        std::memory_order_relaxed);
-    if (last != 0 && mono_ns() - last > std::uint64_t{config_.max_staleness_ms} *
-                                            1000000ULL) {
-      overloaded = true;
-    }
+  if (config_.max_queue_depth == 0 ||
+      sh.queue.size() < config_.max_queue_depth) {
+    return false;
   }
-  if (!overloaded) return false;
   sh.overload_sheds.fetch_add(1, std::memory_order_relaxed);
   overload_counter().add();
   *out = UpdateTicket::make();
@@ -557,50 +551,46 @@ void ShardRouter::stop() {
   }
 }
 
+ServiceStats& ServiceStats::operator+=(const ServiceStats& o) {
+  batches += o.batches;
+  updates_applied += o.updates_applied;
+  updates_rejected += o.updates_rejected;
+  snapshots_published += o.snapshots_published;
+  max_batch = std::max(max_batch, o.max_batch);
+  structural += o.structural;
+  back_edges += o.back_edges;
+  segments += o.segments;
+  index_rebuilds += o.index_rebuilds;
+  base_rebuilds += o.base_rebuilds;
+  rejected_infeasible += o.rejected_infeasible;
+  rejected_shutdown += o.rejected_shutdown;
+  shard_migrations += o.shard_migrations;
+  cross_shard_inserts += o.cross_shard_inserts;
+  recoveries += o.recoveries;
+  retryable_acks += o.retryable_acks;
+  overload_sheds += o.overload_sheds;
+  return *this;
+}
+
 ServiceStats ShardRouter::stats() const {
   ServiceStats out;
-  {
-    std::lock_guard lock(control_mu_);
-    for (const auto& sh : shards_) {
-      const ServiceStats& s = sh->stats;
-      out.batches += s.batches;
-      out.updates_applied += s.updates_applied;
-      out.updates_rejected += s.updates_rejected;
-      out.snapshots_published += s.snapshots_published;
-      out.max_batch = std::max(out.max_batch, s.max_batch);
-      out.structural += s.structural;
-      out.back_edges += s.back_edges;
-      out.segments += s.segments;
-      out.index_rebuilds += s.index_rebuilds;
-      out.base_rebuilds += s.base_rebuilds;
-      out.shard_migrations += s.shard_migrations;
-      out.cross_shard_inserts += s.cross_shard_inserts;
-      out.recoveries += s.recoveries;
-    }
-  }
-  out.rejected_infeasible = out.updates_rejected;
-  for (const auto& sh : shards_) {
-    out.rejected_shutdown += sh->queue.rejected_after_close();
-    out.retryable_acks += sh->retryable_acks.load(std::memory_order_relaxed);
-    out.overload_sheds += sh->overload_sheds.load(std::memory_order_relaxed) +
-                          sh->queue.overload_sheds();
-  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) out += shard_stats(s);
   return out;
 }
 
 ServiceStats ShardRouter::shard_stats(std::size_t shard) const {
+  const Shard& sh = *shards_[shard];
   ServiceStats out;
   {
     std::lock_guard lock(control_mu_);
-    out = shards_[shard]->stats;
+    out = sh.stats;
   }
+  // The fields the writer path does not keep under control_mu_.
   out.rejected_infeasible = out.updates_rejected;
-  out.rejected_shutdown = shards_[shard]->queue.rejected_after_close();
-  out.retryable_acks =
-      shards_[shard]->retryable_acks.load(std::memory_order_relaxed);
-  out.overload_sheds =
-      shards_[shard]->overload_sheds.load(std::memory_order_relaxed) +
-      shards_[shard]->queue.overload_sheds();
+  out.rejected_shutdown = sh.queue.rejected_after_close();
+  out.retryable_acks = sh.retryable_acks.load(std::memory_order_relaxed);
+  out.overload_sheds = sh.overload_sheds.load(std::memory_order_relaxed) +
+                       sh.queue.overload_sheds();
   return out;
 }
 
@@ -714,7 +704,6 @@ void ShardRouter::publish(Shard& sh, bool forest_unchanged) {
                                           std::move(forest), g.num_edges(),
                                           std::move(cuts)),
       std::memory_order_release);
-  sh.last_publish_mono_ns.store(mono_ns(), std::memory_order_relaxed);
 }
 
 bool ShardRouter::feasible(const Shard& sh, const GraphUpdate& u,
@@ -879,7 +868,7 @@ void ShardRouter::writer_loop(Shard& sh) {
           if (j > i) {
             run.clear();
             for (std::size_t k = i; k < j; ++k) run.push_back(&pending[k]);
-            apply_run_locked(sh, sh, run);
+            ack_locked(sh, sh, apply_locked(sh, sh, run));
           }
         }
         if (j == i) {
@@ -931,19 +920,12 @@ void ShardRouter::writer_crashed(Shard& sh, std::vector<PendingUpdate>& pending,
   sh.crashed.store(true, std::memory_order_release);
 }
 
-// Applies a run of ops (already classified local to `target`) as one batch:
-// the ported single-writer path. Caller holds target.mu; acks and their
-// latency are recorded against `gateway`, the shard whose queue carried the
-// ops (== target except for remote singles).
-void ShardRouter::apply_run_locked(Shard& target, Shard& gateway,
-                                   std::vector<PendingUpdate*>& run) {
-  bool has_insert = false;
-  for (const PendingUpdate* p : run) {
-    if (p->update.kind == GraphUpdate::Kind::kInsertVertex) {
-      has_insert = true;
-      break;
-    }
-  }
+ShardRouter::Applied ShardRouter::apply_locked(
+    Shard& target, Shard& gateway, std::span<PendingUpdate* const> run) {
+  const bool has_insert =
+      std::any_of(run.begin(), run.end(), [](const PendingUpdate* p) {
+        return p->update.kind == GraphUpdate::Kind::kInsertVertex;
+      });
   // Vertex inserts assign from the global id space: hold the id lock
   // (innermost) across feasibility + apply so the assigned ids are exactly
   // the ones a single-shard run would hand out. pad_capacity aligns the
@@ -962,110 +944,113 @@ void ShardRouter::apply_run_locked(Shard& target, Shard& gateway,
     delta.next_vertex = target.dfs.graph().capacity();
   }
 
+  Applied out;
   std::vector<GraphUpdate> batch;
-  std::vector<UpdateTicket> accepted;
-  std::vector<std::uint64_t> accepted_enqueue_ns;
-  std::uint64_t rejected = 0;
+  std::vector<UpdateTicket> rejected;
   for (PendingUpdate* p : run) {
     if (feasible(target, p->update, delta)) {
       batch.push_back(std::move(p->update));
-      accepted.push_back(p->ticket);
-      accepted_enqueue_ns.push_back(p->enqueue_ns);
+      out.tickets.push_back(p->ticket);
+      out.enqueue_ns.push_back(p->enqueue_ns);
     } else {
-      p->ticket.ack(UpdateTicket::kRejected);
-      ++rejected;
+      rejected.push_back(p->ticket);
       infeasible_counter().add();
     }
   }
-
-  BatchStats batch_stats;
-  if (!batch.empty()) {
-    if (config_.enable_chaos) chaos_stall(target, gateway);
-    // WAL point: acceptance == journaled. The batch, its version and its
-    // tickets are recorded before apply; a crash from here on recovers by
-    // replay and acks these tickets with that version (exactly-once via
-    // try_ack). There is deliberately no faultable code between the two
-    // statements below.
-    if (target.journal) {
-      target.journal->record_apply(batch, target.version + 1,
-                                   target.updates_applied + batch.size());
-      Shard::WalPending wal;
-      wal.tickets = accepted;
-      wal.kinds.reserve(batch.size());
-      for (const GraphUpdate& u : batch) wal.kinds.push_back(u.kind);
-      wal.version = target.version + 1;
-      target.wal_pending = std::move(wal);
-    }
-    // Reserve the assigned ids at the WAL point, not after the apply: the
-    // record above holds inserts whose ids start at the old global_next_, so
-    // the allocator must advance before any faultable code. A crash in the
-    // apply below then cannot let another shard hand out the journaled ids
-    // during the window before replay (which would ack the same id to two
-    // clients). delta.next_vertex is exactly the capacity this batch leaves
-    // behind: the pad to global_next_ plus one id per accepted insert.
-    if (has_insert) global_next_ = delta.next_vertex;
-    if (config_.enable_chaos) {
-      chaos_site(static_cast<int>(chaos::FaultPoint::kWriterCrashMidBatch),
-                 target);
-    }
+  // Rejects resolve now, before any faultable code: a crash below must not
+  // sweep them up as kRetryable (a retry could land on a state where they
+  // have become feasible).
+  if (!rejected.empty()) {
     {
-      const obs::Span apply_span("apply_batch");
-      batch_stats = target.dfs.apply_batch(batch);
+      std::lock_guard lock(control_mu_);
+      target.stats.updates_rejected += rejected.size();
     }
-    if (config_.enable_chaos) {
-      chaos_site(static_cast<int>(chaos::FaultPoint::kIndexRebuildThrow),
-                 target);
-    }
-    target.updates_applied += batch.size();
-    ++target.version;
-    if (has_insert) {
-      for (const Vertex v : batch_stats.new_vertices) {
-        directory_->set(v, static_cast<std::int32_t>(target.id));
-      }
-      // global_next_ already advanced at the WAL point above.
-    }
-    publish(target, /*forest_unchanged=*/batch_stats.structural == 0);
-    batches_counter().add();
-    applied_counter().add(batch.size());
-    published_counter().add();
+    for (const UpdateTicket& t : rejected) t.ack(UpdateTicket::kRejected);
   }
+  if (batch.empty()) return out;
+
+  if (config_.enable_chaos) chaos_stall(target, gateway);
+  // WAL point: acceptance == journaled. The batch, its version and its
+  // tickets are recorded before apply; a crash from here on recovers by
+  // replay and acks these tickets with that version (exactly-once via
+  // try_ack). There is deliberately no faultable code between the two
+  // statements below.
+  if (target.journal) {
+    target.journal->record_apply(batch, target.version + 1,
+                                 target.updates_applied + batch.size());
+    Shard::WalPending wal;
+    wal.tickets = out.tickets;
+    wal.kinds.reserve(batch.size());
+    for (const GraphUpdate& u : batch) wal.kinds.push_back(u.kind);
+    wal.version = target.version + 1;
+    target.wal_pending = std::move(wal);
+  }
+  // Reserve the assigned ids at the WAL point, not after the apply: the
+  // record above holds inserts whose ids start at the old global_next_, so
+  // the allocator must advance before any faultable code. A crash in the
+  // apply below then cannot let another shard hand out the journaled ids
+  // during the window before replay (which would ack the same id to two
+  // clients). delta.next_vertex is exactly the capacity this batch leaves
+  // behind: the pad to global_next_ plus one id per accepted insert.
+  if (has_insert) global_next_ = delta.next_vertex;
+  if (config_.enable_chaos) {
+    chaos_site(static_cast<int>(chaos::FaultPoint::kWriterCrashMidBatch),
+               target);
+  }
+  BatchStats batch_stats;
+  {
+    const obs::Span apply_span("apply_batch");
+    batch_stats = target.dfs.apply_batch(batch);
+  }
+  if (config_.enable_chaos) {
+    chaos_site(static_cast<int>(chaos::FaultPoint::kIndexRebuildThrow),
+               target);
+  }
+  target.updates_applied += batch.size();
+  out.version = ++target.version;
+  for (const Vertex v : batch_stats.new_vertices) {
+    directory_->set(v, static_cast<std::int32_t>(target.id));
+  }
+  publish(target, /*forest_unchanged=*/batch_stats.structural == 0);
   if (id_lock.owns_lock()) id_lock.unlock();
-  // Acks go out after the publish, so a wait()er's snapshot already reflects
-  // its update.
+  batches_counter().add();
+  applied_counter().add(batch.size());
+  published_counter().add();
+
   std::size_t next_new_vertex = 0;
+  for (const GraphUpdate& u : batch) {
+    out.assigned.push_back(u.kind == GraphUpdate::Kind::kInsertVertex
+                               ? batch_stats.new_vertices[next_new_vertex++]
+                               : kNullVertex);
+  }
+  std::lock_guard lock(control_mu_);
+  ServiceStats& st = target.stats;
+  ++st.batches;
+  ++st.snapshots_published;
+  st.updates_applied += batch.size();
+  st.max_batch = std::max<std::uint64_t>(st.max_batch, batch.size());
+  st.structural += batch_stats.structural;
+  st.back_edges += batch_stats.back_edges;
+  st.segments += batch_stats.segments;
+  st.index_rebuilds += batch_stats.index_rebuilds;
+  st.base_rebuilds += batch_stats.base_rebuilds;
+  return out;
+}
+
+void ShardRouter::ack_locked(Shard& target, Shard& gateway,
+                             const Applied& applied) {
+  // The publish and every stats bump precede the acks, so a wait()er's
+  // snapshot and stats() already reflect its update.
   const std::uint64_t acked_at =
-      obs::metrics_enabled() && !accepted.empty() ? obs::now_ns() : 0;
-  for (std::size_t i = 0; i < accepted.size(); ++i) {
-    Vertex assigned = kNullVertex;
-    if (batch[i].kind == GraphUpdate::Kind::kInsertVertex) {
-      assigned = batch_stats.new_vertices[next_new_vertex++];
-    }
-    accepted[i].ack(target.version, assigned);
-    if (acked_at != 0 && accepted_enqueue_ns[i] != 0) {
-      gateway.ack_latency->record(acked_at - accepted_enqueue_ns[i]);
+      obs::metrics_enabled() && !applied.tickets.empty() ? obs::now_ns() : 0;
+  for (std::size_t i = 0; i < applied.tickets.size(); ++i) {
+    applied.tickets[i].ack(applied.version, applied.assigned[i]);
+    if (acked_at != 0 && applied.enqueue_ns[i] != 0) {
+      gateway.ack_latency->record(acked_at - applied.enqueue_ns[i]);
     }
   }
-  // The batch is applied, published and acked: its WAL tickets are no longer
-  // pending (caller still holds target.mu).
   target.wal_pending.reset();
   maybe_checkpoint_locked(target);
-
-  {
-    std::lock_guard lock(control_mu_);
-    ServiceStats& st = target.stats;
-    st.updates_rejected += rejected;
-    if (!batch.empty()) {
-      ++st.batches;
-      ++st.snapshots_published;
-      st.updates_applied += batch.size();
-      st.max_batch = std::max<std::uint64_t>(st.max_batch, batch.size());
-      st.structural += batch_stats.structural;
-      st.back_edges += batch_stats.back_edges;
-      st.segments += batch_stats.segments;
-      st.index_rebuilds += batch_stats.index_rebuilds;
-      st.base_rebuilds += batch_stats.base_rebuilds;
-    }
-  }
 }
 
 void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
@@ -1085,10 +1070,18 @@ void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
   }
 
   const auto reject = [&] {
-    p.ticket.ack(UpdateTicket::kRejected);
+    {
+      std::lock_guard lock(control_mu_);
+      ++sh.stats.updates_rejected;
+    }
     infeasible_counter().add();
-    std::lock_guard lock(control_mu_);
-    ++sh.stats.updates_rejected;
+    p.ticket.ack(UpdateTicket::kRejected);
+  };
+  const auto retryable = [&] {
+    if (p.ticket.try_ack(UpdateTicket::kRetryable)) {
+      sh.retryable_acks.fetch_add(1, std::memory_order_relaxed);
+      retryable_counter().add();
+    }
   };
 
   // Lock-coupling retry: resolve -> lock involved shards ascending ->
@@ -1130,85 +1123,51 @@ void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
     // recovery has replayed its journal. kRetryable (rather than blocking on
     // the watchdog) keeps this queue draining; the client resubmits after
     // the failover.
-    bool any_crashed = false;
     for (const std::size_t s : involved) {
       if (shards_[s]->crashed.load(std::memory_order_acquire)) {
-        any_crashed = true;
-        break;
+        retryable();
+        return;
       }
-    }
-    if (any_crashed) {
-      if (p.ticket.try_ack(UpdateTicket::kRetryable)) {
-        sh.retryable_acks.fetch_add(1, std::memory_order_relaxed);
-        retryable_counter().add();
-      }
-      return;
     }
 
     // Crash handling for everything below: the gateway writer survives a
-    // remote/merge crash — the damaged engines are repaired here, inline,
-    // while their locks are still held (their own writers are alive, so the
-    // watchdog could never join them). `recover_first` is recovered before
-    // the rest so the directory flips to the winner before any loser
-    // republishes without the migrated component (miss-free reads, same
-    // ordering argument as the non-crash path).
-    std::size_t recover_first = involved[0];
-    const auto recover_inline = [&](const char* what) {
+    // remote/merge crash — the engines it may have damaged are replayed
+    // here, inline, while their locks are still held (their own writers are
+    // alive, so the watchdog could never join them), in the order given
+    // (winner first, so the directory flips to it before any loser
+    // republishes without the migrated component). A shard whose replay
+    // fails degrades to reads-only: its live writer is poisoned, so the next
+    // work it drains converts to a crash and flushes kRetryable.
+    const auto recover_inline = [&](std::span<const std::size_t> damaged,
+                                    const char* what) {
       std::fprintf(stderr,
-                   "pardfs: merge on shard %zu crashed: %s; recovering %zu "
-                   "shard(s) inline\n",
-                   sh.id, what, involved.size());
-      const auto recover_one = [&](std::size_t s) {
-        Shard& damaged = *shards_[s];
-        const std::uint64_t t0 = mono_ns();
+                   "pardfs: special op on shard %zu crashed: %s; replaying "
+                   "%zu shard(s) inline\n",
+                   sh.id, what, damaged.size());
+      for (const std::size_t s : damaged) {
+        Shard& d = *shards_[s];
         try {
-          recover_shard_locked(damaged);
-          recoveries_counter().add();
-          recovery_latency_hist().record(mono_ns() - t0);
-          std::lock_guard lock(control_mu_);
-          ++damaged.stats.recoveries;
+          recover_shard_locked(d);
         } catch (const std::exception& e) {
-          // Replay itself failed: the shard degrades to reads-only. Its own
-          // writer stays alive but is poisoned, so the next work it drains
-          // converts to a crash and its tickets flush kRetryable; crashed is
-          // NOT set here (the writer is alive — the watchdog must not try to
-          // join it).
           std::fprintf(stderr,
                        "pardfs: inline recovery of shard %zu failed: %s\n", s,
                        e.what());
-          damaged.poison.store(true, std::memory_order_release);
-          damaged.unrecoverable.store(true, std::memory_order_release);
-          // We hold damaged.mu (it is one of `locks`): flush its wal
-          // tickets here rather than via abandon_shard, which re-locks.
-          if (damaged.wal_pending.has_value()) {
-            for (const UpdateTicket& t : damaged.wal_pending->tickets) {
-              if (t.try_ack(UpdateTicket::kRetryable)) {
-                damaged.retryable_acks.fetch_add(1, std::memory_order_relaxed);
-                retryable_counter().add();
-              }
-            }
-            damaged.wal_pending.reset();
-          }
+          d.poison.store(true, std::memory_order_release);
+          abandon_shard_locked(d);
         }
-      };
-      recover_one(recover_first);
-      for (const std::size_t s : involved) {
-        if (s != recover_first) recover_one(s);
-      }
-      if (p.ticket.try_ack(UpdateTicket::kRetryable)) {
-        sh.retryable_acks.fetch_add(1, std::memory_order_relaxed);
-        retryable_counter().add();
       }
     };
 
+    PendingUpdate* const run[] = {&p};
     if (involved.size() == 1) {
       // The whole op resolves into one shard (it migrated after routing, or
       // a concurrent merge co-located the endpoints): single-op run there.
+      Shard& target = *shards_[involved[0]];
       try {
-        std::vector<PendingUpdate*> run{&p};
-        apply_run_locked(*shards_[involved[0]], sh, run);
+        ack_locked(target, sh, apply_locked(target, sh, run));
       } catch (const std::exception& e) {
-        recover_inline(e.what());
+        recover_inline(involved, e.what());
+        retryable();
       }
       return;
     }
@@ -1219,34 +1178,18 @@ void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
       reject();
       return;
     }
-
-    // Two-shard (k-shard for vertex inserts) merge protocol, inside the
-    // merge failure domain: an escaped invariant (or injected fault)
-    // anywhere below repairs every involved shard by journal replay before
-    // the gateway writer moves on.
-    try {
-    // Feasibility first, against each endpoint's own shard.
-    bool alive_ok = true;
+    // Feasibility against each endpoint's own shard, before anything
+    // migrates (apply_locked re-checks on the winner once co-located).
     for (std::size_t k = 0; k < endpoints.size(); ++k) {
-      if (!shards_[static_cast<std::size_t>(dirs[k])]->dfs.graph().is_alive(
-              endpoints[k])) {
-        alive_ok = false;
-        break;
+      const bool dup =
+          std::find(endpoints.begin(), endpoints.begin() + k, endpoints[k]) !=
+          endpoints.begin() + k;
+      if (dup || !shards_[static_cast<std::size_t>(dirs[k])]
+                      ->dfs.graph()
+                      .is_alive(endpoints[k])) {
+        reject();
+        return;
       }
-    }
-    if (u.kind == GraphUpdate::Kind::kInsertVertex) {
-      for (std::size_t a = 0; alive_ok && a < endpoints.size(); ++a) {
-        for (std::size_t b = a + 1; b < endpoints.size(); ++b) {
-          if (endpoints[a] == endpoints[b]) {
-            alive_ok = false;
-            break;
-          }
-        }
-      }
-    }
-    if (!alive_ok) {
-      reject();
-      return;
     }
 
     // Winner: the shard owning the largest involved component (tie: lower
@@ -1265,129 +1208,89 @@ void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
       }
     }
     Shard& w = *shards_[winner];
-    recover_first = winner;
 
-    // Migrate every involved component not already living in the winner:
-    // verbatim row transplant, deduplicated by (shard, root) — several
-    // endpoints may share a component.
-    cross_shard_counter().add();
-    std::set<std::pair<std::size_t, Vertex>> seen;
+    // Until every migration is journaled on both sides a crash may leave any
+    // involved engine half-mutated; from then on only the winner's.
+    std::vector<std::size_t> damaged{winner};
+    for (const std::size_t s : involved) {
+      if (s != winner) damaged.push_back(s);
+    }
     std::vector<Vertex> migrated;
     std::set<std::size_t> losers;
     std::uint64_t migrations = 0;
-    for (std::size_t k = 0; k < endpoints.size(); ++k) {
-      const auto s = static_cast<std::size_t>(dirs[k]);
-      if (s == winner) continue;
-      Shard& loser = *shards_[s];
-      const Vertex root = loser.dfs.root_of(endpoints[k]);
-      if (!seen.insert({s, root}).second) continue;
-      DynamicDfs::ComponentTransfer t =
-          loser.dfs.extract_component(endpoints[k]);
-      // Journal both halves back-to-back with no faultable code between:
-      // crashes in this design are C++ exceptions, so the two records are
-      // atomic — replay sees the migration on both sides or on neither.
-      // The loser's version_after is its single post-merge bump (one per op
-      // however many components leave).
-      if (loser.journal) {
-        loser.journal->record_extract(endpoints[k], loser.version + 1);
-      }
-      if (w.journal) w.journal->record_adopt(t);
-      migrated.insert(migrated.end(), t.vertices.begin(), t.vertices.end());
-      w.dfs.adopt_component(std::move(t));
-      migrations_counter().add();
-      ++migrations;
-      losers.insert(s);
-    }
-
-    if (config_.enable_chaos) {
-      chaos_site(static_cast<int>(chaos::FaultPoint::kMergeAbort), w);
-    }
-
-    // Apply the merging op on the winner (everything is co-located now).
-    // Same WAL discipline as apply_run_locked: record + wal_pending, then
-    // apply; a crash in between recovers to the recorded version.
-    const auto record_merge_apply = [&] {
-      if (!w.journal) return;
-      w.journal->record_apply(std::span<const GraphUpdate>(&u, 1),
-                              w.version + 1, w.updates_applied + 1);
-      Shard::WalPending wal;
-      wal.tickets = {p.ticket};
-      wal.kinds = {u.kind};
-      wal.version = w.version + 1;
-      w.wal_pending = std::move(wal);
-    };
-    BatchStats batch_stats;
-    Vertex assigned = kNullVertex;
-    {
-      const obs::Span apply_span("apply_batch");
-      if (u.kind == GraphUpdate::Kind::kInsertVertex) {
-        std::lock_guard id_lock(id_mu_);
-        if (w.journal) w.journal->record_pad(global_next_);
-        w.dfs.pad_capacity(global_next_);
-        record_merge_apply();
-        // Reserve the insert's id at the WAL point (same argument as in
-        // apply_run_locked): the journaled insert replays to exactly this id
-        // even if the apply below crashes first.
-        ++global_next_;
-        batch_stats = w.dfs.apply_batch(std::span<const GraphUpdate>(&u, 1));
-        assigned = batch_stats.new_vertices.at(0);
-        directory_->set(assigned, static_cast<std::int32_t>(winner));
-      } else {
-        record_merge_apply();
-        batch_stats = w.dfs.apply_batch(std::span<const GraphUpdate>(&u, 1));
-      }
-    }
-    w.updates_applied += 1;
-    ++w.version;
-    const std::uint64_t ack_version = w.version;
-    // Publication order is what keeps readers miss-free: the winner's
-    // snapshot (which now contains the migrated component) goes out before
-    // the directory flips, and the losers' snapshots (which drop it) only
-    // after. A reader resolving mid-protocol lands on a shard whose
-    // published snapshot still answers for the vertex.
-    publish(w, /*forest_unchanged=*/false);
-    for (const Vertex mv : migrated) {
-      directory_->set(mv, static_cast<std::int32_t>(winner));
-    }
-    for (const std::size_t ls : losers) {
-      ++shards_[ls]->version;
-      publish(*shards_[ls], /*forest_unchanged=*/false);
-    }
-    batches_counter().add();
-    applied_counter().add(1);
-    published_counter().add(1 + losers.size());
-
-    p.ticket.ack(ack_version, assigned);
-    w.wal_pending.reset();
-    if (obs::metrics_enabled() && p.enqueue_ns != 0) {
-      sh.ack_latency->record(obs::now_ns() - p.enqueue_ns);
-    }
-
-    {
-      std::lock_guard lock(control_mu_);
-      ServiceStats& st = w.stats;
-      ++st.batches;
-      ++st.snapshots_published;
-      st.updates_applied += 1;
-      st.max_batch = std::max<std::uint64_t>(st.max_batch, 1);
-      st.structural += batch_stats.structural;
-      st.back_edges += batch_stats.back_edges;
-      st.segments += batch_stats.segments;
-      st.index_rebuilds += batch_stats.index_rebuilds;
-      st.base_rebuilds += batch_stats.base_rebuilds;
+    bool losers_pending = false;
+    // The losers' half of the publication order (winner publish ->
+    // directory flip -> losers): each drops the migrated component with one
+    // version bump, whatever number of components left it.
+    const auto republish_losers = [&] {
       for (const std::size_t ls : losers) {
-        ++shards_[ls]->stats.snapshots_published;
+        ++shards_[ls]->version;
+        publish(*shards_[ls], /*forest_unchanged=*/false);
       }
-      sh.stats.cross_shard_inserts += 1;
-      sh.stats.shard_migrations += migrations;
-    }
-    // Both merge halves were journaled (extract on losers, adopt + apply on
-    // the winner): truncate whichever journals just crossed the bound. All
-    // involved engine locks are still held.
-    maybe_checkpoint_locked(w);
-    for (const std::size_t ls : losers) maybe_checkpoint_locked(*shards_[ls]);
+      published_counter().add(losers.size());
+      losers_pending = false;
+    };
+
+    try {
+      // Migrate every involved component not already living in the winner:
+      // verbatim row transplant, deduplicated by (shard, root) — several
+      // endpoints may share a component.
+      std::set<std::pair<std::size_t, Vertex>> seen;
+      for (std::size_t k = 0; k < endpoints.size(); ++k) {
+        const auto s = static_cast<std::size_t>(dirs[k]);
+        if (s == winner) continue;
+        Shard& loser = *shards_[s];
+        const Vertex root = loser.dfs.root_of(endpoints[k]);
+        if (!seen.insert({s, root}).second) continue;
+        DynamicDfs::ComponentTransfer t =
+            loser.dfs.extract_component(endpoints[k]);
+        // Journal both halves back-to-back with no faultable code between:
+        // crashes in this design are C++ exceptions, so the two records are
+        // atomic — replay sees the migration on both sides or on neither.
+        // The loser's version_after is its single post-merge bump.
+        if (loser.journal) {
+          loser.journal->record_extract(endpoints[k], loser.version + 1);
+        }
+        if (w.journal) w.journal->record_adopt(t);
+        migrated.insert(migrated.end(), t.vertices.begin(), t.vertices.end());
+        w.dfs.adopt_component(std::move(t));
+        ++migrations;
+        losers.insert(s);
+      }
+      damaged.resize(1);
+      losers_pending = true;
+      // Count the merge now: whichever path resolves the ticket (ack_locked
+      // below, or the winner's replay after a crash), stats() shows it first.
+      {
+        std::lock_guard lock(control_mu_);
+        for (const std::size_t ls : losers) {
+          ++shards_[ls]->stats.snapshots_published;
+        }
+        ++sh.stats.cross_shard_inserts;
+        sh.stats.shard_migrations += migrations;
+      }
+      cross_shard_counter().add();
+      migrations_counter().add(migrations);
+
+      if (config_.enable_chaos) {
+        chaos_site(static_cast<int>(chaos::FaultPoint::kMergeAbort), w);
+      }
+      // Everything is co-located now: the op is an ordinary one-op run on
+      // the winner, which publishes before the directory flips so readers
+      // resolving mid-protocol land on a snapshot that still answers.
+      const Applied applied = apply_locked(w, sh, run);
+      for (const Vertex mv : migrated) {
+        directory_->set(mv, static_cast<std::int32_t>(winner));
+      }
+      republish_losers();
+      ack_locked(w, sh, applied);
+      for (const std::size_t ls : losers) maybe_checkpoint_locked(*shards_[ls]);
     } catch (const std::exception& e) {
-      recover_inline(e.what());
+      recover_inline(damaged, e.what());
+      // The winner's replay has flipped the directory (and acked a journaled
+      // op): the losers still owe their republish.
+      if (losers_pending) republish_losers();
+      retryable();
     }
     return;
   }
@@ -1486,7 +1389,6 @@ void ShardRouter::recover_shard(Shard& sh, bool respawn) {
   // Callable from the watchdog or from stop() (a user thread): either way
   // the replay is a recoverable failure domain, not an abort.
   const ScopedRecoverableChecks recoverable;
-  const std::uint64_t t0 = mono_ns();
   // The crashed writer has set sh.crashed as its last act; join reclaims the
   // thread object so a fresh writer can take its place.
   if (sh.writer.joinable()) sh.writer.join();
@@ -1494,12 +1396,9 @@ void ShardRouter::recover_shard(Shard& sh, bool respawn) {
     std::lock_guard lock(sh.mu);
     recover_shard_locked(sh);
   }
-  recoveries_counter().add();
-  recovery_latency_hist().record(mono_ns() - t0);
   bool respawn_now = respawn;
   {
     std::lock_guard lock(control_mu_);
-    ++sh.stats.recoveries;
     if (stopped_) respawn_now = false;
     if (respawn_now) {
       // Under control_mu_ so this assignment cannot race stop()'s join loop:
@@ -1520,8 +1419,12 @@ void ShardRouter::maybe_checkpoint_locked(Shard& sh) {
 }
 
 void ShardRouter::abandon_shard(Shard& sh) {
-  sh.unrecoverable.store(true, std::memory_order_release);
   std::lock_guard lock(sh.mu);
+  abandon_shard_locked(sh);
+}
+
+void ShardRouter::abandon_shard_locked(Shard& sh) {
+  sh.unrecoverable.store(true, std::memory_order_release);
   if (sh.wal_pending.has_value()) {
     for (const UpdateTicket& t : sh.wal_pending->tickets) {
       if (t.try_ack(UpdateTicket::kRetryable)) {
@@ -1540,7 +1443,12 @@ void ShardRouter::recover_shard_locked(Shard& sh) {
     // stop()). Clearing crashed would invite writers onto a damaged engine.
     throw InvariantViolation("shard has no journal to replay");
   }
+  const std::uint64_t t0 = mono_ns();
   UpdateJournal::ReplayResult r = sh.journal->replay();
+  // Updates the replay applied beyond the live engine's count: the journaled
+  // batch a crash cut short. Their tickets resolve below, so stats() counts
+  // them first, like any batch.
+  const std::uint64_t replayed = r.updates_applied - sh.updates_applied;
   // Swap the damaged engine for the replayed twin. Determinism (§12) makes
   // the replacement byte-identical to the engine a crash-free history would
   // have produced; snapshots sharing state with the old engine keep it alive
@@ -1568,8 +1476,19 @@ void ShardRouter::recover_shard_locked(Shard& sh) {
   {
     std::lock_guard lock(control_mu_);
     ++sh.stats.snapshots_published;
+    ++sh.stats.recoveries;
+    if (replayed != 0) {
+      ++sh.stats.batches;
+      sh.stats.updates_applied += replayed;
+    }
+  }
+  if (replayed != 0) {
+    batches_counter().add();
+    applied_counter().add(replayed);
   }
   published_counter().add();
+  recoveries_counter().add();
+  recovery_latency_hist().record(mono_ns() - t0);
   // WAL acks: the journaled-but-unacked batch was replayed above, so its
   // tickets resolve to the recorded version (with the replayed insert ids).
   // try_ack keeps this exactly-once against the crash-time kRetryable sweep.

@@ -4,13 +4,13 @@
 // The paper's forest decomposes into per-component trees that never interact
 // except when an update joins two components. The router exploits exactly
 // that: vertices are partitioned by connected component across S shards, each
-// shard running the full single-writer stack of dfs_service.hpp — its own
-// UpdateQueue, its own DynamicDfs over a full-id-space graph in which it owns
-// whole components (every other id is a dead hole), and its own RCU snapshot.
-// Readers resolve the owning shard from the directory and load that shard's
-// snapshot — one extra atomic load versus the unsharded service, no global
-// epoch, no cross-shard stalls. Intra-shard updates take the single-writer
-// path untouched.
+// shard running a full single-writer stack — its own UpdateQueue, its own
+// DynamicDfs over a full-id-space graph in which it owns whole components
+// (every other id is a dead hole), and its own RCU snapshot. Readers resolve
+// the owning shard from the directory and load that shard's snapshot — one
+// extra atomic load versus the unsharded service, no global epoch, no
+// cross-shard stalls. num_shards = 1 is the unsharded service itself: the
+// single-shard accessors (shard_snapshot(0), core(0)) are its read surface.
 //
 // Cross-shard edge inserts (and vertex inserts whose neighbors span shards)
 // go through the two-shard merge protocol: the op is queued on the *gateway*
@@ -19,11 +19,13 @@
 // the directory (an entry pointing at a shard can only change under that
 // shard's engine lock, so verification under the locks is stable), migrates
 // the smaller component into the winning shard by verbatim row transplant
-// (DynamicDfs::extract_component / adopt_component), and publishes in the
-// order winner -> directory flip -> loser so readers never observe a miss
-// window. Forest determinism: a component's adjacency rows — and therefore
-// its DFS tree — evolve identically whether it lives in one shard or
-// another, so the assembled forest is byte-identical at any shard count.
+// (DynamicDfs::extract_component / adopt_component), applies the op on the
+// winner through the same write path a local batch takes (apply_locked, then
+// ack_locked), and publishes in the order winner -> directory flip -> loser
+// so readers never observe a miss window. Forest determinism: a component's
+// adjacency rows — and therefore its DFS tree — evolve identically whether
+// it lives in one shard or another, so the assembled forest is
+// byte-identical at any shard count.
 //
 // Deadlock freedom: engine locks are only ever acquired in ascending
 // shard-id order while holding no other engine lock; the global id lock
@@ -36,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,7 +56,6 @@ struct ServiceConfig {
   // Coalescing cap per drain; 0 = the core's epoch period (Θ(log n), the
   // largest batch the Theorem 9 patch budget absorbs in one segment).
   std::size_t max_batch = 0;
-  RerootStrategy strategy = RerootStrategy::kPaper;
   // Worker-team cap for the rerooting engine's parallel rounds (0 = the pram
   // facade default). Purely a wall-clock knob: the served forest is
   // identical at any value.
@@ -95,10 +97,8 @@ struct ServiceConfig {
   // writer chewing through a large batch is not fenced. 0 = off.
   std::uint32_t stall_timeout_ms = 10000;
   // Admission control: submits shed with kOverloaded when the target shard's
-  // queue holds >= max_queue_depth updates (0 = off), or when its snapshot
-  // is older than max_staleness_ms with work still queued (0 = off).
+  // queue holds >= max_queue_depth updates (0 = off).
   std::size_t max_queue_depth = 0;
-  std::uint32_t max_staleness_ms = 0;
   // Consult the process-wide chaos plan (testing/chaos.hpp) at this router's
   // hook sites. No-op unless the build defines PARDFS_ENABLE_CHAOS; kept off
   // for reference stacks so differential runs fault only the subject.
@@ -132,6 +132,9 @@ struct ServiceStats {
   std::uint64_t recoveries = 0;
   std::uint64_t retryable_acks = 0;
   std::uint64_t overload_sheds = 0;
+
+  // Field-wise sum (max for max_batch): stats() folds shard_stats() with it.
+  ServiceStats& operator+=(const ServiceStats& o);
 };
 
 // Reader-side handle: resolves the owning shard per query and answers from
@@ -253,20 +256,24 @@ class ShardRouter {
   // Joins the dead writer, replays the journal under sh.mu, republishes,
   // acks wal-pending tickets, optionally respawns a fresh writer.
   void recover_shard(Shard& sh, bool respawn);
-  // The replay core; caller holds sh.mu and has joined (or never started)
-  // the shard's writer. Throws if the shard has no journal (or replay fails).
+  // The replay core, shared by the watchdog, stop() and a merge's inline
+  // repair; it owns the recovery counters and latency. Caller holds sh.mu
+  // and the shard's writer is dead or known to be outside sh.mu. Throws if
+  // the shard has no journal (or replay fails).
   void recover_shard_locked(Shard& sh);
   // Recovery gave up on this shard: mark it unrecoverable (degraded to
   // reads-only) and flush its wal-pending tickets kRetryable so no client
-  // waits forever on a shard that will never ack.
+  // waits forever on a shard that will never ack. The _locked form expects
+  // the caller to hold sh.mu.
   void abandon_shard(Shard& sh);
+  void abandon_shard_locked(Shard& sh);
   // Journal truncation (DESIGN.md §13): once sh's entry log passes
   // config_.journal_checkpoint_entries, capture the engine's current state
   // as the new replay base and drop the prefix. Caller holds sh.mu with no
   // wal-pending batch, so the journal is exactly in sync with the engine.
   void maybe_checkpoint_locked(Shard& sh);
-  // Admission control + chaos queue_full: true => *out is a pre-acked
-  // kOverloaded ticket and the update must not enqueue.
+  // Admission control: true => *out is a pre-acked kOverloaded ticket and
+  // the update must not enqueue.
   bool shed_overloaded(Shard& sh, UpdateTicket* out);
   // Chaos hook helpers (inline no-ops without PARDFS_ENABLE_CHAOS). `site`
   // throws InjectedCrash on a crash/throw action; `stall` sleeps in fenced-
@@ -280,11 +287,18 @@ class ShardRouter {
   // shard at all — those reject through feasibility exactly like the
   // unsharded service). Stable while sh's engine lock is held.
   bool is_local(const Shard& sh, const GraphUpdate& u) const;
-  // Applies a run of ops local to `target` as one batch: the ported
-  // single-writer path (feasibility filter, apply_batch, publish, acks).
-  // Caller holds target.mu; acks are attributed to `gateway`'s series.
-  void apply_run_locked(Shard& target, Shard& gateway,
-                        std::vector<PendingUpdate*>& run);
+  // The one write path, in two steps. apply_locked runs a batch of ops that
+  // resolve entirely into `target`: feasibility filter, id reservation, WAL
+  // record, apply_batch, directory entries for new ids, publish, counters and
+  // ServiceStats — everything except the acks. ack_locked then resolves the
+  // run's tickets (ack latency recorded against `gateway`, the shard whose
+  // queue carried the ops), clears the WAL-pending batch and checkpoints.
+  // A local run calls the two back to back; a merge runs its directory flip
+  // and loser republish in between. Caller holds target.mu throughout.
+  struct Applied;
+  Applied apply_locked(Shard& target, Shard& gateway,
+                       std::span<PendingUpdate* const> run);
+  void ack_locked(Shard& target, Shard& gateway, const Applied& applied);
   // Cross-shard / migrated-component ops: resolve -> lock ascending ->
   // verify -> merge or apply remotely (see the header comment).
   void process_special(Shard& sh, PendingUpdate& p);

@@ -4,7 +4,7 @@
 // parent array, the liveness bitmap and a TreeIndex built over them, plus
 // the version number and the count of updates it absorbed. Snapshots are
 // shared as `shared_ptr<const DfsSnapshot>` and published RCU-style through
-// one `std::atomic<std::shared_ptr>` (see dfs_service.hpp): readers load the
+// one `std::atomic<std::shared_ptr>` (see shard_router.hpp): readers load the
 // pointer once and then answer any number of queries against a forest that
 // can never change underneath them — consistency is structural, not locked.
 //
@@ -31,7 +31,7 @@ class DfsSnapshot {
   // The forest-shaped part of a snapshot. Patch-only batches (back-edge
   // inserts/deletes) change num_edges and the version but not the forest,
   // so consecutive snapshots share one immutable Forest instead of paying
-  // O(n) copies per publish (see DfsService::publish). The TreeIndex is
+  // O(n) copies per publish (see ShardRouter::publish). The TreeIndex is
   // shared with the core: DynamicDfs rebuilds produce a NEW index object
   // instead of mutating the published one, so structural-batch publication
   // is a pointer copy, not a megabyte clone.

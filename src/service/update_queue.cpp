@@ -13,7 +13,7 @@ namespace pardfs::service {
 namespace {
 
 // kRejected acks that never reached the writer: the submit-vs-stop race.
-// The drain-path twin (reason="infeasible") lives in DfsService.
+// The drain-path twin (reason="infeasible") lives in ShardRouter.
 obs::Counter& shutdown_rejections() {
   static obs::Counter& c = obs::Registry::global().counter(
       "pardfs_acks_rejected_total", "reason=\"shutdown\"");
@@ -41,7 +41,7 @@ const char* UpdateTicket::status_name(std::uint64_t result) {
 }
 
 std::uint64_t UpdateTicket::wait() const {
-  // Total even on a never-enqueued ticket: a client racing DfsService::stop()
+  // Total even on a never-enqueued ticket: a client racing ShardRouter::stop()
   // must see a rejection, not an aborted process.
   if (!valid()) return kRejected;
   // C++20 atomic wait: blocks until result leaves the pending values. The

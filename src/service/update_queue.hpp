@@ -1,9 +1,9 @@
 // MPSC update queue with backpressure and per-update acknowledgement.
 //
 // Any number of producer threads submit GraphUpdates; the single consumer
-// (the DfsService writer thread) drains them in FIFO order, many at a time —
-// that drain is what turns concurrent single updates into the batches
-// DynamicDfs::apply_batch amortizes. A bounded ring provides backpressure:
+// (one ShardRouter shard's writer thread) drains them in FIFO order, many at
+// a time — that drain is what turns concurrent single updates into the
+// batches DynamicDfs::apply_batch amortizes. A bounded ring provides backpressure:
 // submit() blocks while the queue is full, so producers can never outrun the
 // writer by more than `capacity` updates.
 //
@@ -30,7 +30,6 @@
 namespace pardfs::service {
 
 class UpdateQueue;
-class DfsService;
 class ShardRouter;
 
 class UpdateTicket {
@@ -47,8 +46,8 @@ class UpdateTicket {
   //                 the ticket was still pending. The update is still in
   //                 flight; wait()/wait_for() again or poll() later.
   //   kOverloaded — admission control shed the update at submit time (queue
-  //                 depth or snapshot staleness beyond the configured
-  //                 bounds); it never entered a queue. Back off and retry.
+  //                 depth at the configured bound, or an injected
+  //                 queue_full); it never entered a queue. Back off and retry.
   static constexpr std::uint64_t kRejected = ~std::uint64_t{0};
   static constexpr std::uint64_t kRetryable = ~std::uint64_t{0} - 1;
   static constexpr std::uint64_t kTimeout = ~std::uint64_t{0} - 2;
@@ -87,7 +86,6 @@ class UpdateTicket {
 
  private:
   friend class UpdateQueue;
-  friend class DfsService;
   friend class ShardRouter;
   // Transient claim sentinel for try_ack's claim-then-publish protocol: the
   // winning acker CASes `result` from 0 to this, publishes the vertex, then

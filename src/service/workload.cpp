@@ -145,7 +145,7 @@ GraphUpdate WorkloadDriver::next() {
 GraphUpdate WorkloadDriver::next_dynamic_map() {
   // Obstacle churn over the cell grid. Every emitted update is applied to
   // the mirror first, so the stream honors the driver's feasibility contract
-  // (a DfsService fed by it must never ack kRejected; pinned by
+  // (a ShardRouter fed by it must never ack kRejected; pinned by
   // tests/test_workload.cpp). Occasionally a random edge op ("shortcut"
   // churn) keeps the non-tree structure moving too.
   if (step_ % 7 == 0) return next_mixed(1.0, 1.0, 0.0, 0.0);

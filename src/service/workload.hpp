@@ -20,7 +20,7 @@
 //                         shape from the ROADMAP.
 //
 // The driver owns a mirror graph and only emits updates feasible against it,
-// so a single producer can feed a DfsService (or DynamicDfs::apply_batch
+// so a single producer can feed a ShardRouter (or DynamicDfs::apply_batch
 // directly) without ever tripping a rejection. Fully deterministic per seed
 // (pinned by tests/test_workload.cpp).
 #pragma once

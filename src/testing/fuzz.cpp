@@ -14,7 +14,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
-#include "service/dfs_service.hpp"
+#include "service/shard_router.hpp"
 #include "service/workload.hpp"
 #include "testing/chaos.hpp"
 #include "tree/validation.hpp"
@@ -401,7 +401,7 @@ class ServiceEngine final : public Engine {
  public:
   ServiceEngine(Graph initial, const FuzzOptions& o)
       : svc_(std::move(initial), make_config(o)) {
-    snap_ = svc_.snapshot();
+    snap_ = svc_.shard_snapshot(0);
   }
   ~ServiceEngine() override { svc_.stop(); }
 
@@ -432,7 +432,7 @@ class ServiceEngine final : public Engine {
       }
     }
     svc_.pause();
-    snap_ = svc_.snapshot();
+    snap_ = svc_.shard_snapshot(0);
     if (!snap_->serves_cuts()) {
       *err = "snapshot lost its cut structure despite serve_cuts";
       return false;
@@ -478,7 +478,7 @@ class ServiceEngine final : public Engine {
     return config;
   }
 
-  service::DfsService svc_;
+  service::ShardRouter svc_;
   service::SnapshotPtr snap_;
 };
 
@@ -569,7 +569,7 @@ class ShardedEngine : public Engine {
       }
     }
     // The differential: byte-identical forests at S shards and 1 shard.
-    ref_snap_ = ref_.snapshot();
+    ref_snap_ = ref_.shard_snapshot(0);
     return compare_assembled(router_, ref_snap_, err);
   }
 
@@ -609,7 +609,7 @@ class ShardedEngine : public Engine {
   ShardedEngine(Graph initial, const FuzzOptions& o, bool chaos)
       : router_(initial, make_config(o, std::max(o.num_shards, 1), chaos)),
         ref_(std::move(initial), make_config(o, 1, false)) {
-    ref_snap_ = ref_.snapshot();
+    ref_snap_ = ref_.shard_snapshot(0);
   }
 
   static service::ServiceConfig make_config(const FuzzOptions& o,
@@ -630,7 +630,7 @@ class ShardedEngine : public Engine {
   }
 
   service::ShardRouter router_;
-  service::DfsService ref_;
+  service::ShardRouter ref_;
   service::SnapshotPtr ref_snap_;
 };
 
@@ -709,7 +709,7 @@ class ChaosEngine final : public ShardedEngine {
     }
     // The recovery differential: whatever crashed and replayed this batch,
     // the assembled forest must equal the never-faulted reference.
-    ref_snap_ = ref_.snapshot();
+    ref_snap_ = ref_.shard_snapshot(0);
     return compare_assembled(router_, ref_snap_, err);
   }
 };

@@ -5,8 +5,9 @@
 // queries over one graph family, driven through one of the two entry
 // points:
 //   * core    — DynamicDfs::apply_batch with combined k-update batches;
-//   * service — the full DfsService writer/snapshot path (paused-writer
-//               protocol, per-update drain so replay is exact);
+//   * service — the full writer/snapshot path of a 1-shard ShardRouter
+//               (paused-writer protocol, per-update drain so replay is
+//               exact);
 //   * sharded — a num_shards ShardRouter in lock-step with a 1-shard
 //               reference: every update applies synchronously to both, and
 //               the assembled sharded forest must equal the unsharded

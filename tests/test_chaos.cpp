@@ -17,7 +17,6 @@
 
 #include "core/dynamic_dfs.hpp"
 #include "graph/generators.hpp"
-#include "service/dfs_service.hpp"
 #include "service/journal.hpp"
 #include "service/shard_router.hpp"
 #include "service/workload.hpp"
@@ -330,20 +329,6 @@ TEST(Recovery, ByteIdenticalWithAggressiveJournalCheckpoints) {
   run_recovery_differential(4, /*checkpoint_entries=*/4);
 }
 
-TEST(Recovery, DfsServiceFacadeRecoversToo) {
-  DfsService svc(gen::path(16), supervised_config(1));
-  ASSERT_EQ(svc.apply_sync(GraphUpdate::insert_edge(0, 5)), 2u);
-  svc.inject_writer_failure();
-  const SubmitOutcome out =
-      submit_with_retry(svc.router(), GraphUpdate::insert_edge(3, 9));
-  EXPECT_TRUE(out.applied());
-  EXPECT_GT(out.attempts, 1);  // the first attempt died with the writer
-  EXPECT_EQ(svc.stats().recoveries, 1u);
-  // The recovered snapshot serves the retried update: 15 path edges + 2.
-  EXPECT_EQ(svc.snapshot()->num_edges(), 17);
-  svc.stop();
-}
-
 // Readers must never block (or go non-total) while writers crash and
 // recover: a reader thread hammers the view through repeated kill/recover
 // cycles; every query must return (a hang fails via the ctest timeout).
@@ -449,7 +434,7 @@ TEST(Recovery, JournalDisabledDegradesAndFlushesTicketsAtStop) {
 TEST(Tickets, WaitForTimesOutThenResolves) {
   ServiceConfig config;
   config.start_paused = true;
-  DfsService svc(gen::path(8), config);
+  ShardRouter svc(gen::path(8), config);
   UpdateTicket t = svc.submit(GraphUpdate::insert_edge(0, 4));
   // Paused writer: the deadline passes with the ticket still pending.
   EXPECT_EQ(t.wait_for(std::chrono::milliseconds(20)), UpdateTicket::kTimeout);
@@ -659,6 +644,45 @@ TEST(ChaosHooks, MergeAbortRecoversAndRetrySucceeds) {
   reference.stop();
 }
 
+// A cross-shard insert runs through the same apply step as a local batch,
+// so a writer crash right after its WAL record can land on the merge winner
+// too. The component on shard 0 (3 vertices) migrates into shard 1's (6),
+// the crash hits shard 1 mid-apply, and the inline replay of the winner
+// alone must resolve the ticket and leave the forest of an unfaulted run.
+TEST(ChaosHooks, MergeCrashMidBatchOnTheWinnerRecoversByteIdentical) {
+  FaultPlan plan;
+  plan.specs.push_back(FaultSpec{FaultPoint::kWriterCrashMidBatch,
+                                 /*shard=*/1, /*at_hit=*/0, /*param=*/0});
+  chaos::arm(plan);
+  Graph g;
+  for (int i = 0; i < 9; ++i) g.add_vertex();
+  for (Vertex v = 1; v < 3; ++v) g.add_edge(v - 1, v);  // 0..2 -> shard 0
+  for (Vertex v = 4; v < 9; ++v) g.add_edge(v - 1, v);  // 3..8 -> shard 1
+  ServiceConfig config = supervised_config(2);
+  config.enable_chaos = true;
+  ShardRouter router(g, config);
+  ShardRouter reference(g, supervised_config(1));
+  ASSERT_EQ(router.shard_of(0), 0);
+  ASSERT_EQ(router.shard_of(5), 1);
+
+  const GraphUpdate merge = GraphUpdate::insert_edge(1, 5);
+  const SubmitOutcome out = submit_with_retry(router, merge);
+  ASSERT_TRUE(out.applied());
+  EXPECT_EQ(chaos::faults_injected(), 1u);
+  EXPECT_EQ(router.stats().recoveries, 1u);
+  EXPECT_EQ(router.stats().shard_migrations, 1u);
+  EXPECT_EQ(router.stats().updates_applied, 1u);  // applied once, either way
+  for (Vertex v = 0; v < 9; ++v) EXPECT_EQ(router.shard_of(v), 1);
+
+  ASSERT_FALSE(UpdateTicket::is_status(reference.apply_sync(merge)));
+  EXPECT_EQ(router.assemble_parent(), reference.assemble_parent());
+  EXPECT_EQ(router.assemble_alive(), reference.assemble_alive());
+  chaos::disarm();
+  router.stop();
+  reference.stop();
+  EXPECT_EQ(router.stats().recoveries, 1u);
+}
+
 // Regression: a writer crash between the WAL record and the (previously
 // post-apply) global id advance must not let another shard hand out the
 // journaled insert's id. Ids are reserved at the WAL point, so the insert
@@ -681,6 +705,8 @@ TEST(ChaosHooks, CrashedInsertKeepsItsReservedIds) {
   ASSERT_FALSE(UpdateTicket::is_status(live.wait()));
   ASSERT_FALSE(UpdateTicket::is_status(crashed.wait()));
   EXPECT_EQ(chaos::faults_injected(), 1u);
+  // The replayed insert is counted before recovery acks it.
+  EXPECT_EQ(router.stats().updates_applied, 2u);
 
   const Vertex replayed_id = crashed.assigned_vertex();
   const Vertex live_id = live.assigned_vertex();

@@ -21,13 +21,13 @@
 #include "graph/generators.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
-#include "service/dfs_service.hpp"
+#include "service/shard_router.hpp"
 #include "util/random.hpp"
 
 namespace pardfs::obs {
 namespace {
 
-using pardfs::service::DfsService;
+using pardfs::service::ShardRouter;
 
 // Values recorded under PARDFS_NO_METRICS vanish; these tests assert the
 // recorded-path arithmetic, so they pin zeros in that configuration instead.
@@ -203,7 +203,7 @@ TEST(Obs, PrometheusPageCarriesThePinnedSeries) {
   // Drive a real service so every writer-pipeline series exists, then check
   // the acceptance pins: all six phases and the ack-latency quantiles.
   Rng rng(7);
-  DfsService svc(gen::random_connected(64, 128, rng));
+  ShardRouter svc(gen::random_connected(64, 128, rng));
   for (int i = 0; i < 20; ++i) {
     (void)svc.apply_sync(GraphUpdate::insert_vertex({static_cast<Vertex>(i)}));
   }

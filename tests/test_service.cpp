@@ -3,7 +3,7 @@
 // and the concurrent consistency check — 8 readers against 1 writer, every
 // published version validated as a DFS forest (tree/validation) of the
 // replayed update prefix it claims to reflect.
-#include "service/dfs_service.hpp"
+#include "service/shard_router.hpp"
 
 #include <gtest/gtest.h>
 
@@ -40,8 +40,8 @@ void apply_to_mirror(Graph& g, const GraphUpdate& u) {
 }
 
 TEST(Service, InitialSnapshotServesQueries) {
-  DfsService svc(gen::path(6));
-  const SnapshotPtr snap = svc.snapshot();
+  ShardRouter svc(gen::path(6));
+  const SnapshotPtr snap = svc.shard_snapshot(0);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->version(), 1u);
   EXPECT_EQ(snap->updates_applied(), 0u);
@@ -61,20 +61,20 @@ TEST(Service, InitialSnapshotServesQueries) {
 }
 
 TEST(Service, AcksCarryThePublishingVersion) {
-  DfsService svc(gen::path(8));
+  ShardRouter svc(gen::path(8));
   const std::uint64_t v1 = svc.apply_sync(GraphUpdate::delete_edge(3, 4));
   ASSERT_NE(v1, UpdateTicket::kRejected);
   EXPECT_GE(v1, 2u);
-  const SnapshotPtr snap = svc.snapshot();
+  const SnapshotPtr snap = svc.shard_snapshot(0);
   EXPECT_GE(snap->version(), v1) << "ack must not precede its snapshot";
   EXPECT_FALSE(snap->same_component(0, 7));
   const std::uint64_t v2 = svc.apply_sync(GraphUpdate::insert_edge(2, 5));
   EXPECT_GT(v2, v1);
-  EXPECT_TRUE(svc.snapshot()->same_component(0, 7));
+  EXPECT_TRUE(svc.shard_snapshot(0)->same_component(0, 7));
 }
 
 TEST(Service, RejectsInfeasibleUpdates) {
-  DfsService svc(gen::path(4));
+  ShardRouter svc(gen::path(4));
   EXPECT_EQ(svc.apply_sync(GraphUpdate::insert_edge(0, 1)),
             UpdateTicket::kRejected)
       << "duplicate edge";
@@ -94,11 +94,11 @@ TEST(Service, RejectsInfeasibleUpdates) {
   svc.stop();
   EXPECT_EQ(svc.stats().updates_rejected, 5u);
   EXPECT_EQ(svc.stats().updates_applied, 0u);
-  EXPECT_EQ(svc.snapshot()->version(), 1u);
+  EXPECT_EQ(svc.shard_snapshot(0)->version(), 1u);
 }
 
 TEST(Service, StatsSplitRejectionsByReason) {
-  DfsService svc(gen::path(4));
+  ShardRouter svc(gen::path(4));
   // Two drain-time feasibility rejections...
   EXPECT_EQ(svc.apply_sync(GraphUpdate::insert_edge(0, 1)),
             UpdateTicket::kRejected);
@@ -118,7 +118,7 @@ TEST(Service, StatsSplitRejectionsByReason) {
 }
 
 TEST(Service, MetricsPagesAreServedLive) {
-  DfsService svc(gen::path(8));
+  ShardRouter svc(gen::path(8));
   (void)svc.apply_sync(GraphUpdate::insert_edge(0, 7));
   svc.stop();
   const std::string prom = svc.metrics_text();
@@ -131,13 +131,13 @@ TEST(Service, MetricsPagesAreServedLive) {
 }
 
 TEST(Service, VertexInsertTicketCarriesAssignedId) {
-  DfsService svc(gen::path(3));
+  ShardRouter svc(gen::path(3));
   const UpdateTicket t = svc.submit(GraphUpdate::insert_vertex({0, 2}));
   ASSERT_TRUE(t.valid());
   const std::uint64_t version = t.wait();
   ASSERT_NE(version, UpdateTicket::kRejected);
   EXPECT_EQ(t.assigned_vertex(), 3);
-  EXPECT_TRUE(svc.snapshot()->contains(3));
+  EXPECT_TRUE(svc.shard_snapshot(0)->contains(3));
 }
 
 TEST(Service, CoalescesPendingUpdatesIntoOneBatch) {
@@ -145,10 +145,10 @@ TEST(Service, CoalescesPendingUpdatesIntoOneBatch) {
   config.start_paused = true;
   config.max_batch = 64;
   Rng rng(5);
-  DfsService svc(gen::random_connected(300, 900, rng), config);
+  ShardRouter svc(gen::random_connected(300, 900, rng), config);
   // 6 tree-structural updates queue up while the writer is paused.
   std::vector<UpdateTicket> tickets;
-  const SnapshotPtr before = svc.snapshot();
+  const SnapshotPtr before = svc.shard_snapshot(0);
   for (Vertex v = 1; tickets.size() < 6; ++v) {
     const Vertex p = before->parent_of(v);
     if (p == kNullVertex) continue;
@@ -165,42 +165,42 @@ TEST(Service, CoalescesPendingUpdatesIntoOneBatch) {
   EXPECT_EQ(stats.max_batch, 6u);
   EXPECT_EQ(stats.index_rebuilds, 1u)
       << "the coalesced batch costs one O(n) index rebuild";
-  EXPECT_EQ(svc.snapshot()->version(), 2u);
+  EXPECT_EQ(svc.shard_snapshot(0)->version(), 2u);
   const auto val =
-      validate_dfs_forest(svc.core().graph(), svc.core().parent());
+      validate_dfs_forest(svc.core(0).graph(), svc.core(0).parent());
   EXPECT_TRUE(val.ok) << val.reason;
 }
 
 TEST(Service, PauseHoldsBackDrainedUpdates) {
   // pause() while the writer is blocked on an empty queue: updates submitted
   // afterwards must not apply (let alone publish) until resume().
-  DfsService svc(gen::path(16));
+  ShardRouter svc(gen::path(16));
   ASSERT_NE(svc.apply_sync(GraphUpdate::delete_edge(7, 8)),
             UpdateTicket::kRejected);  // writer is live, then idles in drain
   svc.pause();
   const UpdateTicket held = svc.submit(GraphUpdate::delete_edge(2, 3));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(held.done()) << "paused service must hold the update";
-  EXPECT_EQ(svc.snapshot()->version(), 2u);
+  EXPECT_EQ(svc.shard_snapshot(0)->version(), 2u);
   svc.resume();
   EXPECT_NE(held.wait(), UpdateTicket::kRejected);
-  EXPECT_GE(svc.snapshot()->version(), 3u);
+  EXPECT_GE(svc.shard_snapshot(0)->version(), 3u);
 }
 
 TEST(Service, PatchOnlyBatchesShareTheForest) {
   // Back-edge batches publish a new version but must reuse the previous
   // snapshot's O(n) forest structures instead of copying them.
-  DfsService svc(gen::path(32));
-  const SnapshotPtr before = svc.snapshot();
+  ShardRouter svc(gen::path(32));
+  const SnapshotPtr before = svc.shard_snapshot(0);
   ASSERT_NE(svc.apply_sync(GraphUpdate::insert_edge(0, 20)),
             UpdateTicket::kRejected);  // ancestor pair on a path: patch-only
-  const SnapshotPtr patched = svc.snapshot();
+  const SnapshotPtr patched = svc.shard_snapshot(0);
   EXPECT_GT(patched->version(), before->version());
   EXPECT_EQ(patched->num_edges(), before->num_edges() + 1);
   EXPECT_EQ(patched->forest(), before->forest()) << "forest must be shared";
   ASSERT_NE(svc.apply_sync(GraphUpdate::delete_edge(25, 26)),
             UpdateTicket::kRejected);  // structural (below the back edge)
-  const SnapshotPtr moved = svc.snapshot();
+  const SnapshotPtr moved = svc.shard_snapshot(0);
   EXPECT_NE(moved->forest(), patched->forest());
   EXPECT_FALSE(moved->same_component(0, 26));
 }
@@ -209,7 +209,7 @@ TEST(Service, BackpressureBoundsTheQueue) {
   ServiceConfig config;
   config.start_paused = true;
   config.queue_capacity = 2;
-  DfsService svc(gen::path(32), config);
+  ShardRouter svc(gen::path(32), config);
   ASSERT_TRUE(svc.submit(GraphUpdate::delete_edge(1, 2)).valid());
   ASSERT_TRUE(svc.submit(GraphUpdate::delete_edge(5, 6)).valid());
   UpdateTicket overflow;
@@ -233,7 +233,7 @@ TEST(Service, BackpressureBoundsTheQueue) {
 TEST(Service, StopDrainsEveryPendingTicket) {
   ServiceConfig config;
   config.start_paused = true;
-  DfsService svc(gen::path(40), config);
+  ShardRouter svc(gen::path(40), config);
   std::vector<UpdateTicket> tickets;
   for (Vertex v = 0; v + 1 < 40; v += 2) {
     tickets.push_back(svc.submit(GraphUpdate::delete_edge(v, v + 1)));
@@ -256,7 +256,7 @@ TEST(Service, SubmitRacingStopIsRejectedNotAborted) {
   // from both sides; any abort fails the test run itself.
   const Graph initial = gen::path(16);
   for (int iter = 0; iter < 1000; ++iter) {
-    DfsService svc(initial, {});
+    ShardRouter svc(initial, {});
     std::atomic<bool> go{false};
     std::thread producer([&] {
       while (!go.load(std::memory_order_acquire)) {
@@ -283,7 +283,7 @@ TEST(Service, MultipleProducersAllAcked) {
   ServiceConfig config;
   config.queue_capacity = 16;
   Rng rng(11);
-  DfsService svc(gen::random_connected(120, 300, rng), config);
+  ShardRouter svc(gen::random_connected(120, 300, rng), config);
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 40;
   std::atomic<std::uint64_t> acked{0};
@@ -312,7 +312,7 @@ TEST(Service, MultipleProducersAllAcked) {
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.updates_applied + stats.updates_rejected, acked.load());
   const auto val =
-      validate_dfs_forest(svc.core().graph(), svc.core().parent());
+      validate_dfs_forest(svc.core(0).graph(), svc.core(0).parent());
   EXPECT_TRUE(val.ok) << val.reason;
 }
 
@@ -327,7 +327,7 @@ TEST(Service, ConcurrentConsistencyUnderChurn) {
   Graph mirror = make_initial_graph(spec);
   ServiceConfig config;
   config.queue_capacity = 64;
-  DfsService svc(make_initial_graph(spec), config);
+  ShardRouter svc(make_initial_graph(spec), config);
 
   constexpr int kReaders = 8;
   std::atomic<bool> stop_readers{false};
@@ -347,7 +347,7 @@ TEST(Service, ConcurrentConsistencyUnderChurn) {
       Rng rng(777 + r);
       std::uint64_t last_version = 0;
       while (!stop_readers.load(std::memory_order_relaxed)) {
-        const SnapshotPtr snap = svc.snapshot();
+        const SnapshotPtr snap = svc.shard_snapshot(0);
         if (snap->version() < last_version) {
           report("snapshot version went backwards");
           return;
@@ -428,21 +428,21 @@ TEST(Service, ConcurrentConsistencyUnderChurn) {
     if (i % 16 == 15) {
       ASSERT_NE(tickets.back().wait(), UpdateTicket::kRejected)
           << "single-producer driver streams are always feasible";
-      validate_snapshot(svc.snapshot());
+      validate_snapshot(svc.shard_snapshot(0));
       if (HasFatalFailure()) break;
     }
   }
   for (const UpdateTicket& t : tickets) {
     EXPECT_NE(t.wait(), UpdateTicket::kRejected);
   }
-  validate_snapshot(svc.snapshot());
+  validate_snapshot(svc.shard_snapshot(0));
   stop_readers.store(true);
   for (auto& t : readers) t.join();
   svc.stop();
 
   EXPECT_EQ(reader_errors.load(), 0) << first_error;
   EXPECT_GT(queries_served.load(), 0u);
-  const SnapshotPtr final_snap = svc.snapshot();
+  const SnapshotPtr final_snap = svc.shard_snapshot(0);
   EXPECT_EQ(final_snap->updates_applied(), static_cast<std::uint64_t>(kUpdates));
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.updates_applied, static_cast<std::uint64_t>(kUpdates));
@@ -452,8 +452,8 @@ TEST(Service, ConcurrentConsistencyUnderChurn) {
 }
 
 TEST(Service, CutQueriesOffByDefault) {
-  DfsService svc(gen::path(6));
-  const SnapshotPtr snap = svc.snapshot();
+  ShardRouter svc(gen::path(6));
+  const SnapshotPtr snap = svc.shard_snapshot(0);
   EXPECT_FALSE(snap->serves_cuts());
   // Without serve_cuts every cut query answers the benign default, even for
   // vertices that really are articulation points.
@@ -465,8 +465,8 @@ TEST(Service, CutQueriesOffByDefault) {
 TEST(Service, SnapshotServesArticulationAndBridges) {
   ServiceConfig config;
   config.serve_cuts = true;
-  DfsService svc(gen::path(6), config);
-  const SnapshotPtr snap = svc.snapshot();
+  ShardRouter svc(gen::path(6), config);
+  const SnapshotPtr snap = svc.shard_snapshot(0);
   ASSERT_TRUE(snap->serves_cuts());
   EXPECT_FALSE(snap->is_articulation(0));
   EXPECT_FALSE(snap->is_articulation(5));
@@ -489,13 +489,13 @@ TEST(Service, PatchOnlyBatchesStillRefreshCuts) {
   // Cuts live per-snapshot, so the patched snapshot must answer afresh.
   ServiceConfig config;
   config.serve_cuts = true;
-  DfsService svc(gen::path(8), config);
-  const SnapshotPtr before = svc.snapshot();
+  ShardRouter svc(gen::path(8), config);
+  const SnapshotPtr before = svc.shard_snapshot(0);
   EXPECT_TRUE(before->is_articulation(2));
   EXPECT_TRUE(before->is_bridge(1, 2));
   ASSERT_NE(svc.apply_sync(GraphUpdate::insert_edge(0, 4)),
             UpdateTicket::kRejected);  // ancestor pair on a path: patch-only
-  const SnapshotPtr after = svc.snapshot();
+  const SnapshotPtr after = svc.shard_snapshot(0);
   ASSERT_EQ(after->forest(), before->forest()) << "patch-only must share";
   EXPECT_FALSE(after->is_articulation(2)) << "now on a cycle";
   EXPECT_FALSE(after->is_bridge(1, 2)) << "now on a cycle";
@@ -510,7 +510,7 @@ TEST(Service, ServedCutsMatchBruteForceUnderChurn) {
   WorkloadDriver driver(spec);
   ServiceConfig config;
   config.serve_cuts = true;
-  DfsService svc(make_initial_graph(spec), config);
+  ShardRouter svc(make_initial_graph(spec), config);
   const auto count_components = [](const Graph& g, Vertex skip) {
     std::vector<std::int8_t> seen(static_cast<std::size_t>(g.capacity()), 0);
     std::vector<Vertex> stack;
@@ -537,7 +537,7 @@ TEST(Service, ServedCutsMatchBruteForceUnderChurn) {
     if (i % 20 != 19) continue;
     // apply_sync acked => the snapshot reflects the update; the driver's
     // mirror is the ground truth to brute-force against.
-    const SnapshotPtr snap = svc.snapshot();
+    const SnapshotPtr snap = svc.shard_snapshot(0);
     ASSERT_TRUE(snap->serves_cuts());
     const Graph& mirror = driver.graph();
     const int base = count_components(mirror, kNullVertex);
@@ -568,7 +568,7 @@ TEST(Service, WorkloadScenariosServeValidSnapshots) {
     const WorkloadSpec spec{scenario, 96, 3 + static_cast<std::uint64_t>(scenario)};
     WorkloadDriver driver(spec);
     Graph mirror = make_initial_graph(spec);
-    DfsService svc(make_initial_graph(spec));
+    ShardRouter svc(make_initial_graph(spec));
     std::vector<GraphUpdate> accepted;
     std::uint64_t mirrored = 0;
     for (int i = 0; i < 120; ++i) {
@@ -578,7 +578,7 @@ TEST(Service, WorkloadScenariosServeValidSnapshots) {
       ASSERT_NE(version, UpdateTicket::kRejected)
           << scenario_name(scenario) << " update " << i;
       if (i % 10 == 9) {
-        const SnapshotPtr snap = svc.snapshot();
+        const SnapshotPtr snap = svc.shard_snapshot(0);
         while (mirrored < snap->updates_applied()) {
           apply_to_mirror(mirror, accepted[static_cast<std::size_t>(mirrored)]);
           ++mirrored;

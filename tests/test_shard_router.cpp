@@ -15,7 +15,6 @@
 
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
-#include "service/dfs_service.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
 
@@ -131,18 +130,6 @@ TEST(ShardRouter, InitialPartitionCoversComponentsShardDisjointly) {
   router.stop();
 }
 
-TEST(ShardRouter, SingleShardMatchesDfsService) {
-  // The façade and a 1-shard router must publish identical forests.
-  DfsService svc(disjoint_paths(4, 4));
-  ShardRouter router(disjoint_paths(4, 4), {.num_shards = 1});
-  const auto want = svc.snapshot()->parent();
-  const auto got = router.assemble_parent();
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(want[i], got[i]);
-  svc.stop();
-  router.stop();
-}
-
 TEST(ShardRouter, ForestBytesIdenticalAcrossShardAndThreadCounts) {
   const std::vector<GraphUpdate> stream = mixed_stream(400, 1234);
   const DrivenRouter base = drive(1, 0, stream);
@@ -251,6 +238,29 @@ TEST(ShardRouter, CrossShardInsertRunsTheMergeProtocol) {
   EXPECT_TRUE(ok.ok) << ok.reason;
   EXPECT_EQ(router.core(0).graph().num_vertices(), 10);
   EXPECT_EQ(router.core(1).graph().num_vertices(), 0);
+}
+
+// Regression: the merge path counts an update in stats() before its ticket
+// resolves, so a caller reading stats() right after apply_sync sees every
+// merge it made (cross_shard_inserts, shard_migrations, updates_applied).
+TEST(ShardRouter, MergeStatsAreVisibleWhenTheTicketResolves) {
+  constexpr int kMerges = 200;
+  // 2 * kMerges two-vertex paths: path c lands on shard c % 2, so joining
+  // path 2i to path 2i+1 is a cross-shard insert between fresh components.
+  ShardRouter router(disjoint_paths(2 * kMerges, 2), {.num_shards = 2});
+  for (int i = 0; i < kMerges; ++i) {
+    const Vertex a = static_cast<Vertex>(4 * i);  // path 2i
+    const Vertex b = a + 2;                        // path 2i + 1
+    ASSERT_NE(router.shard_of(a), router.shard_of(b));
+    ASSERT_FALSE(UpdateTicket::is_status(
+        router.apply_sync(GraphUpdate::insert_edge(a, b))));
+    const ServiceStats st = router.stats();
+    const auto want = static_cast<std::uint64_t>(i + 1);
+    ASSERT_EQ(st.cross_shard_inserts, want) << "merge " << i;
+    ASSERT_EQ(st.updates_applied, want) << "merge " << i;
+    ASSERT_EQ(st.shard_migrations, want) << "merge " << i;
+  }
+  router.stop();
 }
 
 TEST(ShardRouter, LargerComponentWinsTheMerge) {

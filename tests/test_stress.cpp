@@ -1,7 +1,7 @@
 // Long-run and degenerate-input stress: large graphs, drain-to-empty /
 // grow-to-clique trajectories, tiny graphs, heavy vertex churn — validity
 // asserted after every single update — plus the service workload scenarios
-// pushed through the batch path and through a live DfsService.
+// pushed through the batch path and through a live 1-shard ShardRouter.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,7 @@
 
 #include "core/dynamic_dfs.hpp"
 #include "graph/generators.hpp"
-#include "service/dfs_service.hpp"
+#include "service/shard_router.hpp"
 #include "service/workload.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
@@ -180,7 +180,7 @@ TEST(Stress, ServiceSurvivesAdversarialStarWithReaders) {
   // acceptance test lives in test_service.cpp; this one leans on volume.)
   const service::WorkloadSpec spec{service::Scenario::kAdversarialStar, 192, 7};
   service::WorkloadDriver driver(spec);
-  service::DfsService svc(service::make_initial_graph(spec));
+  service::ShardRouter svc(service::make_initial_graph(spec));
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
   std::vector<std::thread> readers;
@@ -188,7 +188,7 @@ TEST(Stress, ServiceSurvivesAdversarialStarWithReaders) {
     readers.emplace_back([&, r] {
       Rng rng(99 + r);
       while (!stop.load(std::memory_order_relaxed)) {
-        const service::SnapshotPtr snap = svc.snapshot();
+        const service::SnapshotPtr snap = svc.shard_snapshot(0);
         const Vertex u = static_cast<Vertex>(rng.below(snap->capacity()));
         if (snap->contains(u)) {
           std::size_t work = snap->path_to_root(u).size();
@@ -207,7 +207,7 @@ TEST(Stress, ServiceSurvivesAdversarialStarWithReaders) {
   for (auto& t : readers) t.join();
   svc.stop();
   EXPECT_GT(reads.load(), 0u);
-  const auto val = validate_dfs_forest(svc.core().graph(), svc.core().parent());
+  const auto val = validate_dfs_forest(svc.core(0).graph(), svc.core(0).parent());
   EXPECT_TRUE(val.ok) << val.reason;
 }
 
@@ -242,14 +242,14 @@ TEST(Stress, ParallelEngineServiceUnderReaders) {
   service::WorkloadDriver driver(spec);
   service::ServiceConfig config;
   config.num_threads = 4;
-  service::DfsService svc(service::make_initial_graph(spec), config);
+  service::ShardRouter svc(service::make_initial_graph(spec), config);
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
       Rng rng(133 + r);
       while (!stop.load(std::memory_order_relaxed)) {
-        const service::SnapshotPtr snap = svc.snapshot();
+        const service::SnapshotPtr snap = svc.shard_snapshot(0);
         const Vertex u = static_cast<Vertex>(rng.below(snap->capacity()));
         if (snap->contains(u)) {
           volatile Vertex sink = snap->root_of(u);
@@ -264,7 +264,7 @@ TEST(Stress, ParallelEngineServiceUnderReaders) {
   stop.store(true);
   for (auto& t : readers) t.join();
   svc.stop();
-  const auto val = validate_dfs_forest(svc.core().graph(), svc.core().parent());
+  const auto val = validate_dfs_forest(svc.core(0).graph(), svc.core(0).parent());
   EXPECT_TRUE(val.ok) << val.reason;
 }
 

@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "service/dfs_service.hpp"
+#include "service/shard_router.hpp"
 #include "tree/validation.hpp"
 
 namespace pardfs::service {
@@ -93,7 +93,7 @@ TEST(Workload, DynamicMapFeedsServiceWithoutRejections) {
   WorkloadDriver driver(spec);
   ServiceConfig config;
   config.serve_cuts = true;
-  DfsService svc(make_initial_graph(spec), config);
+  ShardRouter svc(make_initial_graph(spec), config);
   for (int i = 0; i < 300; ++i) {
     const std::uint64_t version = svc.apply_sync(driver.next());
     ASSERT_NE(version, UpdateTicket::kRejected) << "update " << i;
@@ -102,7 +102,7 @@ TEST(Workload, DynamicMapFeedsServiceWithoutRejections) {
   EXPECT_EQ(svc.stats().updates_rejected, 0u);
   EXPECT_EQ(svc.stats().updates_applied, 300u);
   // After stop() the mirror and the served graph agree exactly.
-  const SnapshotPtr snap = svc.snapshot();
+  const SnapshotPtr snap = svc.shard_snapshot(0);
   EXPECT_EQ(snap->num_vertices(), driver.graph().num_vertices());
   EXPECT_EQ(snap->num_edges(), driver.graph().num_edges());
   const auto val = validate_dfs_forest(driver.graph(), snap->parent());

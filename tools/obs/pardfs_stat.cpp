@@ -1,5 +1,5 @@
 // pardfs_stat — run a workload scenario against the serving stack (a
-// ShardRouter; --shards=1 is the exact DfsService behavior) and print (or
+// ShardRouter; --shards=1 is the unsharded single-writer stack) and print (or
 // periodically re-print) the obs registry, as Prometheus exposition text or
 // JSON; optionally dump the phase trace as chrome://tracing JSON. At the end
 // a per-shard table (vertices, edges, version, updates, batches, queue
