@@ -1,15 +1,14 @@
-// E12: thread scaling of the parallel rerooting engine.
+// E12/E23: team scaling of DynamicDfs::apply_batch.
 //
-// The engine steps every active component of a global round concurrently on
-// a worker team (rerooter.cpp); the inner query primitives parallelize over
-// sources through the same pram facade. This bench measures end-to-end
-// batch-update latency of DynamicDfs::apply_batch at 1/2/4/8 workers on the
-// two scenarios where rerooting dominates: adversarial_star (every spoke
-// toggle reroots a Θ(n) ring subtree) and social_mix (power-law hub churn).
-// The maintained forest is identical at every thread count (the engine's
-// determinism contract, pinned in tests/test_parallel_engine.cpp) — only
-// wall-clock may move. Real speedup needs real cores: on a single-core host
-// every team size collapses to ~1×.
+// The rerooting engine steps its rounds on the calling thread (rerooter.cpp);
+// the team argument scales only the pram facade's array loops around it —
+// the D build, the CSR counts and the LCA fill (pram::parallel_for_t). This
+// bench measures end-to-end batch-update latency at teams 1/2/4/8 on the two
+// scenarios where rerooting dominates: adversarial_star (every spoke toggle
+// reroots a Θ(n) ring subtree) and social_mix (power-law hub churn). The
+// maintained forest is identical at every team size (pinned in
+// tests/test_parallel_engine.cpp) — only wall clock may move. Real speedup
+// needs real cores: on a single-core host every team size collapses to ~1×.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -25,13 +24,12 @@ namespace {
 void run_scenario(benchmark::State& state, service::Scenario scenario) {
   const int threads = static_cast<int>(state.range(0));
   const auto n = static_cast<Vertex>(state.range(1));
-  // The knob pins both the engine's worker team and the pram facade (inner
-  // source-parallel query reductions), so "1 thread" is genuinely serial.
+  // The facade's team is the one team parallel_for_t forks, so "1 thread"
+  // is genuinely serial.
   pram::set_num_threads(threads);
   const service::WorkloadSpec spec{scenario, n, 42};
   service::WorkloadDriver driver(spec);
-  DynamicDfs dfs(service::make_initial_graph(spec), RerootStrategy::kPaper,
-                 nullptr, threads);
+  DynamicDfs dfs(service::make_initial_graph(spec));
   // One iteration = one coalesced batch of epoch_period updates — the
   // largest batch the service layer hands to apply_batch in one drain.
   const std::size_t batch_size = dfs.epoch_period();
@@ -55,8 +53,8 @@ void run_scenario(benchmark::State& state, service::Scenario scenario) {
   state.counters["engine_rounds"] = benchmark::Counter(
       static_cast<double>(rounds), benchmark::Counter::kAvgIterations);
   // E13 phase breakdown across the whole run (per absorbed update, µs):
-  // shows how much of a batch is rerooting (the part the worker team
-  // parallelizes) vs index rebuild / epoch rebase / patching. Read as a
+  // shows how much of a batch is rerooting (serial) vs index rebuild / epoch
+  // rebase (where the array loops fork) / patching. Read as a
   // mark-and-delta over the registry's cumulative series (DESIGN.md §11).
   const UpdatePhaseBreakdown after = DynamicDfs::phase_breakdown();
   const double per_update =

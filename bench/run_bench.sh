@@ -8,9 +8,10 @@
 #   BENCH_service.json     — E-service, snapshot-serving layer: read QPS vs
 #                            reader threads, ack latency p50/p99, writer
 #                            coalescing (bench_service)
-#   BENCH_parallel.json    — E12, engine thread scaling: batch-update latency
-#                            at 1/2/4/8 workers on adversarial_star and
-#                            social_mix (bench_parallel)
+#   BENCH_parallel.json    — E12/E23, team scaling: batch-update latency at
+#                            teams 1/2/4/8 on adversarial_star and
+#                            social_mix; the team forks only the array
+#                            loops (bench_parallel)
 #   BENCH_oracle.json      — E15, SIMD probe hot path: batched dispatched
 #                            probes vs the scalar single-probe reference,
 #                            aligned-CSR rebuild reuse (bench_oracle)

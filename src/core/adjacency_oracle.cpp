@@ -428,23 +428,15 @@ std::optional<Edge> AdjacencyOracle::query_sources(std::span<const Vertex> sourc
   // One logical processor per source; physically the sources advance in
   // kBatchLanes-wide blocks whose window searches share one dispatched
   // lower_bound pass. `better` is a total order on (post, source id), so
-  // the block-at-a-time reduction returns the per-source reduction's winner
-  // bit for bit.
-  const std::size_t blocks =
-      (sources.size() + simd::kBatchLanes - 1) / simd::kBatchLanes;
-  const Candidate best = pram::parallel_reduce(
-      std::size_t{0}, blocks, Candidate{},
-      [&](std::size_t b) {
-        Candidate lane[simd::kBatchLanes];
-        const std::size_t begin = b * simd::kBatchLanes;
-        const std::size_t chunk =
-            std::min(simd::kBatchLanes, sources.size() - begin);
-        probe_batch(sources.data() + begin, chunk, seg, end, lane);
-        Candidate acc;
-        for (std::size_t i = 0; i < chunk; ++i) acc = better(acc, lane[i], end);
-        return acc;
-      },
-      [end](Candidate a, Candidate b) { return better(a, b, end); });
+  // the block-at-a-time scan returns the per-source reduction's winner bit
+  // for bit.
+  Candidate best;
+  Candidate lane[simd::kBatchLanes];
+  for (std::size_t begin = 0; begin < sources.size(); begin += simd::kBatchLanes) {
+    const std::size_t chunk = std::min(simd::kBatchLanes, sources.size() - begin);
+    probe_batch(sources.data() + begin, chunk, seg, end, lane);
+    for (std::size_t i = 0; i < chunk; ++i) best = better(best, lane[i], end);
+  }
   if (!best.valid()) return std::nullopt;
   return Edge{best.source, best.target};
 }
@@ -518,15 +510,11 @@ std::optional<Edge> AdjacencyOracle::query_segments(PathSeg source, PathSeg targ
   // Flipped: every target-chain vertex searches over the source chain (any
   // hit counts); keep the hit nearest the requested end of the target by
   // rekeying each hit with its target vertex's post.
-  const Candidate best = pram::parallel_reduce(
-      std::size_t{0}, chain.size(), Candidate{},
-      [&](std::size_t i) {
-        const Vertex q = chain[i];
-        const Candidate hit = probe_all(q, source, PathEnd::kTop);
-        if (!hit.valid()) return Candidate{};
-        return Candidate{base_->post(q), hit.target, q};
-      },
-      [end](Candidate a, Candidate b) { return better(a, b, end); });
+  Candidate best;
+  for (const Vertex q : chain) {
+    const Candidate hit = probe_all(q, source, PathEnd::kTop);
+    if (hit.valid()) best = better(best, {base_->post(q), hit.target, q}, end);
+  }
   if (!best.valid()) return std::nullopt;
   return Edge{best.source, best.target};
 }

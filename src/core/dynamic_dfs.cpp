@@ -91,12 +91,11 @@ constexpr std::size_t kIndexPoolCap = 4;
 }  // namespace
 
 DynamicDfs::DynamicDfs(Graph graph, RerootStrategy strategy,
-                       pram::CostModel* cost, int num_threads,
+                       pram::CostModel* cost, int /*num_threads*/,
                        std::int32_t serial_cutoff, std::string obs_shard)
     : graph_(std::move(graph)),
       strategy_(strategy),
       cost_(cost),
-      num_threads_(num_threads),
       serial_cutoff_(serial_cutoff) {
   // Eager registration: all four phase series of this instance appear (at
   // zero) on a metrics page even before the first update touches them.
@@ -192,8 +191,7 @@ void DynamicDfs::execute(const ReductionResult& reduction, const OracleView& vie
   // parent_ already holds the pre-update forest; reroots overwrite their
   // subtrees, direct assignments patch single slots. The view is shared
   // with the preceding reduction so its decompose memo spans the update.
-  Rerooter engine(*index_, view, strategy_, cost_, num_threads_,
-                  engine_cutoff(), &graph_);
+  Rerooter engine(*index_, view, strategy_, cost_, engine_cutoff(), &graph_);
   last_stats_ = engine.run(reduction.reroots, parent_);
   mirror_reroot_stats(last_stats_);
   for (const auto& [v, p] : reduction.direct) {
@@ -474,8 +472,7 @@ bool DynamicDfs::flush_segment(Segment& seg) {
     obs::ScopedPhase timer(*reroot_hist_, "reroot");
     const OracleView view(&oracle_, index_.get(), at_base());
     BatchReduction reduction = reduce_batch(*index_, view, graph_, changes);
-    Rerooter engine(*index_, view, strategy_, cost_, num_threads_,
-                  engine_cutoff(), &graph_);
+    Rerooter engine(*index_, view, strategy_, cost_, engine_cutoff(), &graph_);
     last_stats_ = engine.run_components(std::move(reduction.components), parent_);
     mirror_reroot_stats(last_stats_);
     for (const auto& [v, p] : reduction.direct) {

@@ -69,8 +69,9 @@ class DynamicDfs {
  public:
   // Takes ownership of (a copy of) the initial graph; builds the initial
   // forest with the static O(m + n) algorithm and preprocesses D.
-  // `num_threads` caps the rerooting engine's worker team (0 = the pram
-  // facade default); the maintained forest is identical at any value.
+  // `num_threads` is unused: the engine steps its rounds on the calling
+  // thread. It stays until the benchmark's callers (perfbench/) stop passing
+  // it.
   // `serial_cutoff` feeds the engine's Brent-style completion of sub-cutoff
   // components (see Rerooter): -1 = Rerooter::default_serial_cutoff, 0 = off
   // (pure per-round query machinery; the CONGEST simulation and cost-model
@@ -176,9 +177,6 @@ class DynamicDfs {
   // O(n) current-tree index rebuilds so far, including the constructor's
   // (the quantity apply_batch amortizes: one per segment, not per update).
   std::size_t index_rebuilds() const { return index_rebuilds_; }
-  // The engine worker-team cap this instance was configured with (0 = pram
-  // facade default).
-  int num_threads() const { return num_threads_; }
 
  private:
   struct Segment {
@@ -232,7 +230,6 @@ class DynamicDfs {
   obs::Histogram* rebase_hist_ = nullptr;
   RerootStrategy strategy_;
   pram::CostModel* cost_;
-  int num_threads_ = 0;
   std::int32_t serial_cutoff_ = -1;
   RerootStats last_stats_;
   std::size_t epoch_period_ = 1;

@@ -7,9 +7,8 @@
 
 namespace pardfs {
 
-FaultTolerantDfs::FaultTolerantDfs(Graph graph, pram::CostModel* cost,
-                                   int num_threads)
-    : base_graph_(std::move(graph)), cost_(cost), num_threads_(num_threads) {
+FaultTolerantDfs::FaultTolerantDfs(Graph graph, pram::CostModel* cost)
+    : base_graph_(std::move(graph)), cost_(cost) {
   base_parent_ = static_dfs(base_graph_);
   base_index_.build(base_parent_, base_graph_.alive());
   oracle_.build(base_graph_, base_index_, cost_);
@@ -28,7 +27,6 @@ FaultTolerantDfs::FaultTolerantDfs(FaultTolerantDfs&& other) noexcept
       index_(std::move(other.index_)),
       updates_applied_(other.updates_applied_),
       cost_(other.cost_),
-      num_threads_(other.num_threads_),
       last_stats_(other.last_stats_) {
   oracle_.rebind_base(&base_index_);
 }
@@ -44,7 +42,6 @@ FaultTolerantDfs& FaultTolerantDfs::operator=(FaultTolerantDfs&& other) noexcept
     index_ = std::move(other.index_);
     updates_applied_ = other.updates_applied_;
     cost_ = other.cost_;
-    num_threads_ = other.num_threads_;
     last_stats_ = other.last_stats_;
     oracle_.rebind_base(&base_index_);
   }
@@ -78,7 +75,7 @@ void FaultTolerantDfs::execute(const ReductionResult& reduction) {
   // before touching D (Theorem 9).
   const bool identity = updates_applied_ == 0;
   const OracleView view(&oracle_, &index_, identity);
-  Rerooter engine(index_, view, RerootStrategy::kPaper, cost_, num_threads_,
+  Rerooter engine(index_, view, RerootStrategy::kPaper, cost_,
                   Rerooter::default_serial_cutoff(index_.capacity()));
   last_stats_ = engine.run(reduction.reroots, parent_);
   for (const auto& [v, p] : reduction.direct) {

@@ -23,10 +23,7 @@ namespace pardfs {
 class FaultTolerantDfs {
  public:
   // Preprocessing: static DFS + D (O(m) space, O(log n) PRAM time).
-  // `num_threads` caps the rerooting engine's worker team (0 = the pram
-  // facade default); results are identical at any value.
-  explicit FaultTolerantDfs(Graph graph, pram::CostModel* cost = nullptr,
-                            int num_threads = 0);
+  explicit FaultTolerantDfs(Graph graph, pram::CostModel* cost = nullptr);
 
   FaultTolerantDfs(FaultTolerantDfs&& other) noexcept;
   FaultTolerantDfs& operator=(FaultTolerantDfs&& other) noexcept;
@@ -74,7 +71,6 @@ class FaultTolerantDfs {
   std::size_t updates_applied_ = 0;
 
   pram::CostModel* cost_;
-  int num_threads_ = 0;
   RerootStats last_stats_;
 };
 
@@ -90,9 +86,8 @@ class FaultTolerantDfs {
 class AmortizedDynamicDfs {
  public:
   explicit AmortizedDynamicDfs(Graph graph, std::size_t period,
-                               pram::CostModel* cost = nullptr,
-                               int num_threads = 0)
-      : inner_(std::move(graph), cost, num_threads),
+                               pram::CostModel* cost = nullptr)
+      : inner_(std::move(graph), cost),
         period_(period == 0 ? 1 : period) {}
 
   void apply(const GraphUpdate& update) {

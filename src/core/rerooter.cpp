@@ -1,13 +1,10 @@
 #include "core/rerooter.hpp"
 
 #include <algorithm>
-#include <iterator>
-#include <memory>
 #include <numeric>
 
 #include "core/rerooter_internal.hpp"
 #include "obs/trace.hpp"
-#include "pram/parallel.hpp"
 #include "util/check.hpp"
 
 namespace pardfs {
@@ -420,13 +417,11 @@ void finish_traversal(detail::EngineCtx& ctx, Component& comp,
 
 Rerooter::Rerooter(const TreeIndex& current, const OracleView& view,
                    RerootStrategy strategy, pram::CostModel* cost,
-                   int num_threads, std::int32_t serial_cutoff,
-                   const Graph* graph)
+                   std::int32_t serial_cutoff, const Graph* graph)
     : cur_(current),
       view_(view),
       strategy_(strategy),
       cost_(cost),
-      num_threads_(num_threads),
       serial_cutoff_(serial_cutoff),
       graph_(graph) {}
 
@@ -474,66 +469,32 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
                  c.entry_piece < static_cast<std::int32_t>(c.pieces.size()));
   }
 
-  const int threads = num_threads_ > 0 ? num_threads_ : pram::num_threads();
-  // One context per worker, created on first use: a worker that never gets a
-  // component (small rounds) never pays the O(n) scratch allocation or the
-  // oracle-view memo copy.
-  std::vector<std::unique_ptr<detail::EngineCtx>> workers(
-      static_cast<std::size_t>(threads > 0 ? threads : 1));
-  const auto worker_ctx = [&](int w) -> detail::EngineCtx& {
-    auto& slot = workers[static_cast<std::size_t>(w)];
-    if (!slot) slot = std::make_unique<detail::EngineCtx>(cur_, view_);
-    return *slot;
-  };
-
-  // Per-component output slots for one round. Workers write only their
-  // component's slots, so the merged order — and with it T* and every next
-  // round's component list — is identical at any thread count.
-  std::vector<std::vector<Component>> emitted;
-  std::vector<std::uint32_t> comp_batches;
+  // One context for the whole run: the rounds step on the calling thread,
+  // so the marking scratch and the oracle view's decompose memo are shared
+  // by every component step.
+  detail::EngineCtx ctx(cur_, view_);
   std::vector<Component> next;
   while (!active.empty()) {
-    // Tracing only (no histogram): round latencies are a wall-clock artifact
-    // of the worker team, not part of the deterministic round/batch record.
+    // Tracing only (no histogram): round latencies are wall clock, not part
+    // of the deterministic round/batch record.
     const obs::Span round_span("reroot_round");
     ++stats.global_rounds;
-    const std::size_t k = active.size();
-    emitted.assign(k, {});
-    comp_batches.assign(k, 0);
-    const auto step = [&](detail::EngineCtx& ctx, std::size_t i) {
+    // The PRAM cost model counts logical rounds: a round's batch count is
+    // the max over its components, which step in component order and append
+    // their new components to `next` in that order.
+    std::uint32_t round_batches = 0;
+    next.clear();
+    for (Component& comp : active) {
       const obs::Span step_span("engine_step");
       ++ctx.stats().components_processed;
       ctx.begin_step();
-      if (serial_cutoff_ > 0 &&
-          detail::component_size(cur_, active[i]) <= serial_cutoff_) {
-        detail::serial_finish(ctx, active[i], parent_out, graph_);
-        comp_batches[i] = 0;
-        return;
+      if (serial_cutoff_ > 0 && detail::component_size(cur_, comp) <= serial_cutoff_) {
+        detail::serial_finish(ctx, comp, parent_out, graph_);
+        continue;
       }
-      detail::TraversalPlan plan =
-          detail::plan_traversal(ctx, active[i], strategy_);
-      detail::finish_traversal(ctx, active[i], std::move(plan), parent_out,
-                               emitted[i], cost_);
-      comp_batches[i] = ctx.step_batches();
-    };
-    if (threads <= 1 || k == 1) {
-      // A single component (or team): step serially so the primitives inside
-      // the step (subtree-wide query reductions) keep their own full teams
-      // instead of being nested-serialized under an outer region.
-      for (std::size_t i = 0; i < k; ++i) step(worker_ctx(0), i);
-    } else {
-      pram::parallel_for_workers(
-          k, threads, [&](int w, std::size_t i) { step(worker_ctx(w), i); });
-    }
-
-    // Round barrier: merge. The PRAM cost model is unchanged — it counts
-    // logical rounds (per-round batch count = max over components), not
-    // worker threads.
-    std::uint32_t round_batches = 0;
-    next.clear();
-    for (std::size_t i = 0; i < k; ++i) {
-      round_batches = std::max(round_batches, comp_batches[i]);
-      std::move(emitted[i].begin(), emitted[i].end(), std::back_inserter(next));
+      detail::TraversalPlan plan = detail::plan_traversal(ctx, comp, strategy_);
+      detail::finish_traversal(ctx, comp, std::move(plan), parent_out, next, cost_);
+      round_batches = std::max(round_batches, ctx.step_batches());
     }
     stats.query_batches += round_batches;
     if (cost_ != nullptr) {
@@ -546,9 +507,7 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
     }
     active.swap(next);
   }
-  for (const auto& w : workers) {
-    if (w) stats.accumulate(w->stats());
-  }
+  stats.accumulate(ctx.stats());
   return stats;
 }
 

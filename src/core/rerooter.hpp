@@ -22,12 +22,12 @@
 // would retreat past first (the components property, Lemma 1). The final
 // parent array is therefore a valid DFS tree for any traversal choice.
 //
-// Execution model: the rounds are not only the PRAM accounting unit — all
-// active components of a round step concurrently on a real worker team
-// (pram::parallel_for_workers), each worker owning its scratch and oracle
-// view. Outputs land in per-component slots merged in component order, so
-// the tree, the new-component order and the stats are byte-identical at any
-// thread count. See DESIGN.md §8.
+// Execution model: the rounds are the PRAM accounting unit (global rounds,
+// query batches) and are stepped serially on the calling thread — each
+// round's components in order, each appending its new components to the
+// next round's list in that order. Every tie inside a step breaks on a total
+// order, so the tree, the component order and the stats are a function of
+// the input alone. See DESIGN.md §8.
 #pragma once
 
 #include <cstdint>
@@ -75,14 +75,6 @@ struct RerootStats {
 
 class Rerooter {
  public:
-  // `num_threads` caps the worker team stepping a round's components
-  // concurrently (0 = the pram facade default). The result — final parent
-  // array, new-component order and every RerootStats counter — is identical
-  // at any thread count: per-component outputs go into disjoint slots merged
-  // in component order, and every tie inside a step breaks on a total order.
-  // Only the logical cost model's semantics (rounds, not threads) are
-  // recorded, so the knob is pure wall-clock.
-  //
   // `serial_cutoff` (0 = disabled): a component whose total vertex count is
   // at most the cutoff is finished by ONE logical processor as a direct DFS
   // of its induced subgraph — Brent-style processor reallocation. The paper
@@ -98,12 +90,12 @@ class Rerooter {
   // even with different epoch/rebase histories (what makes sharded serving
   // byte-identical to unsharded; see service/shard_router.hpp). Without a
   // graph it falls back to the oracle's base+patch order, which is fixed
-  // per engine (thread-count independent) but differs across rebase
-  // histories. The update wrappers pass default_serial_cutoff(); raw engine
-  // users default to the pure paper machinery.
+  // per engine but differs across rebase histories. The update wrappers
+  // pass default_serial_cutoff(); raw engine users default to the pure
+  // paper machinery.
   Rerooter(const TreeIndex& current, const OracleView& view, RerootStrategy strategy,
-           pram::CostModel* cost = nullptr, int num_threads = 0,
-           std::int32_t serial_cutoff = 0, const Graph* graph = nullptr);
+           pram::CostModel* cost = nullptr, std::int32_t serial_cutoff = 0,
+           const Graph* graph = nullptr);
 
   // Θ(log² n) — the depth one serially-finished component may add.
   static std::int32_t default_serial_cutoff(Vertex capacity);
@@ -127,7 +119,6 @@ class Rerooter {
   const OracleView& view_;
   RerootStrategy strategy_;
   pram::CostModel* cost_;
-  int num_threads_;
   std::int32_t serial_cutoff_;
   const Graph* graph_;
 };

@@ -31,14 +31,10 @@ std::vector<Run> split_runs(const TreeIndex& cur, const std::vector<Vertex>& cha
 // Engine context handed to the planner: tree, oracle view, scratch marking
 // arrays (stamped, O(1) reset), per-step query-batch counter and stats.
 //
-// One context belongs to ONE worker thread: components of a round step
-// concurrently (rerooter.cpp), and everything mutable a step touches — the
-// marking scratch, the chain-position index, the step counter, the stats and
-// the oracle view's path-decomposition memo — lives here. The view is
-// therefore held by value: the copy inherits the caller's memo (warm from
-// the preceding reduction) and grows its own entries without synchronizing.
-// Per-worker stats are merged by the engine at the end of the run; all
-// counters are sums (or max), so the merge is order-independent.
+// One context serves a whole engine run (rerooter.cpp): every component
+// step of every round uses the same marking scratch, chain-position index
+// and stats, and the caller's view, whose decompose memo is warm from the
+// preceding reduction.
 class EngineCtx {
  public:
   EngineCtx(const TreeIndex& cur, const OracleView& view)
@@ -109,8 +105,8 @@ class EngineCtx {
 
  private:
   const TreeIndex& cur_;
-  const OracleView view_;  // by value: the decompose memo is per-worker
-  RerootStats stats_;      // per-worker; merged by the engine
+  const OracleView& view_;
+  RerootStats stats_;  // merged into the run's stats by the engine
   std::vector<std::int32_t> mark_stamp_, pos_stamp_, pos_val_, visit_stamp_;
   std::vector<std::int32_t> piece_stamp_, piece_val_;
   std::vector<DfsFrame> dfs_scratch_;

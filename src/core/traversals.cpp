@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "core/rerooter_internal.hpp"
-#include "pram/parallel.hpp"
 #include "util/check.hpp"
 
 namespace pardfs::detail {
@@ -351,18 +350,17 @@ std::optional<TraversalPlan> plan_heavy(EngineCtx& ctx, const Component& comp,
     Vertex x = kNullVertex, y = kNullVertex;
     std::int32_t key = -1;
   };
-  const PCand pcand = pram::parallel_reduce(
-      std::size_t{0}, tvl.size(), PCand{},
-      [&](std::size_t i) -> PCand {
-        const Vertex u = tvl[i];
-        const auto hit = view.query_vertex_over(u, y_range);
-        if (!hit) return {};
-        return {u, hit->v, cur.depth(cur.lca(u, v_h))};
-      },
-      [](PCand a, PCand b) {
-        if (a.key != b.key) return a.key > b.key ? a : b;
-        return a.x <= b.x ? a : b;
-      });
+  PCand pcand;
+  for (const Vertex u : tvl) {
+    const auto hit = view.query_vertex_over(u, y_range);
+    if (!hit) continue;
+    const std::int32_t key = cur.depth(cur.lca(u, v_h));
+    // Deepest LCA first, then the smallest source: a total order, so the
+    // winner does not depend on the scan order.
+    if (key > pcand.key || (key == pcand.key && u < pcand.x)) {
+      pcand = {u, hit->v, key};
+    }
+  }
   ctx.count_batch();
   if (pcand.key < 0) return std::nullopt;
   const Vertex xp = pcand.x, yp = pcand.y;

@@ -12,9 +12,9 @@
 //     instruments the writer pipeline (queue_wait → patch → reroot →
 //     index_rebuild → rebase → publish) and the engine's per-round spans.
 //
-// Rings are pooled, not thread_local-owned: the PRAM shim under
-// PARDFS_PRAM_TSAN spawns fresh std::threads every parallel region, and one
-// ring per short-lived thread would grow without bound. A thread leases a
+// Rings are pooled, not thread_local-owned: threads come and go for the
+// life of a process (a fresh shard writer per failover, client threads), and
+// one ring per short-lived thread would grow without bound. A thread leases a
 // ring from a fixed pool on first push and returns it at thread exit;
 // events carry their thread id, so lease reuse never mixes attribution.
 // Event fields are relaxed atomics — concurrent dump while writers run is

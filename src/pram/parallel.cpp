@@ -1,6 +1,8 @@
 #include "pram/parallel.hpp"
 
+#if defined(_OPENMP)
 #include <omp.h>
+#endif
 
 #include <atomic>
 
@@ -12,7 +14,12 @@ std::atomic<int> g_threads{0};  // 0 = OpenMP default
 
 int num_threads() {
   const int configured = g_threads.load(std::memory_order_relaxed);
-  return configured > 0 ? configured : omp_get_max_threads();
+  if (configured > 0) return configured;
+#if defined(_OPENMP)
+  return omp_get_max_threads();
+#else
+  return 1;  // built without OpenMP: parallel_for_t runs serially
+#endif
 }
 
 void set_num_threads(int n) { g_threads.store(n, std::memory_order_relaxed); }

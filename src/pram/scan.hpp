@@ -1,9 +1,8 @@
 // Exclusive prefix sum (scan), the workhorse of PRAM algorithms.
 //
-// Two-pass blocked implementation: per-block sums, serial scan of the block
-// sums (there are O(P) of them), then per-block local scans. O(n) work,
-// O(log n) PRAM depth — matching the classic EREW scan used implicitly all
-// over the paper (compaction, processor allocation).
+// The PRAM formulation is the classic O(log n)-depth EREW scan used
+// implicitly all over the paper (compaction, processor allocation);
+// physically it is one left-to-right pass on the calling thread, O(n) work.
 #pragma once
 
 #include <cstdint>

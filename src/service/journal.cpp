@@ -86,16 +86,16 @@ UpdateJournal::ReplayResult UpdateJournal::replay() const {
       Graph base;
       base.pad_to(checkpoint_->capacity);
       ReplayResult out{
-          DynamicDfs(std::move(base), RerootStrategy::kPaper, nullptr,
-                     config_.num_threads, -1, config_.obs_shard),
+          DynamicDfs(std::move(base), RerootStrategy::kPaper, nullptr, 0, -1,
+                     config_.obs_shard),
           checkpoint_->version, checkpoint_->updates_applied, {}};
       if (!checkpoint_->state.vertices.empty()) {
         out.engine.adopt_component(checkpoint_->state);
       }
       return out;
     }
-    return ReplayResult{DynamicDfs(genesis_, RerootStrategy::kPaper, nullptr,
-                                   config_.num_threads, -1, config_.obs_shard),
+    return ReplayResult{DynamicDfs(genesis_, RerootStrategy::kPaper, nullptr, 0,
+                                   -1, config_.obs_shard),
                         1, 0, {}};
   }();
   for (const Entry& e : log_) {
@@ -104,10 +104,9 @@ UpdateJournal::ReplayResult UpdateJournal::replay() const {
         r.engine.pad_capacity(e.vertex);
         break;
       case Entry::Kind::kApply: {
-        BatchStats stats = r.engine.apply_batch(e.batch);
+        r.last_batch = r.engine.apply_batch(e.batch);
         r.version = e.version_after;
         r.updates_applied = e.updates_after;
-        r.last_new_vertices = std::move(stats.new_vertices);
         break;
       }
       case Entry::Kind::kExtract:

@@ -40,10 +40,9 @@ class UpdateJournal {
  public:
   // Mirror of the shard's engine construction parameters: replay must build
   // its DynamicDfs with exactly the configuration of the live one (the
-  // paper's strategy, this team cap), or the determinism argument (and the
-  // byte-identical guarantee) breaks.
+  // paper's strategy), or the determinism argument (and the byte-identical
+  // guarantee) breaks.
   struct Config {
-    int num_threads = 0;
     std::string obs_shard;  // replayed engines feed the same metric series
   };
 
@@ -85,9 +84,9 @@ class UpdateJournal {
     DynamicDfs engine;
     std::uint64_t version = 1;          // from the last versioned entry
     std::uint64_t updates_applied = 0;  // likewise
-    // Ids assigned to kInsertVertex updates of the *last* kApply entry, in
-    // batch order — recovery acks that batch's wal-pending tickets with them.
-    std::vector<Vertex> last_new_vertices;
+    // What the *last* kApply entry did: recovery counts it into the shard's
+    // stats and acks that batch's wal-pending tickets with its new_vertices.
+    BatchStats last_batch;
   };
   // Re-runs every recorded entry, in order, against a copy of the genesis
   // graph. O(total recorded work); called with the shard poisoned and its

@@ -198,8 +198,8 @@ struct ShardRouter::Shard {
   Shard(std::size_t id_, Graph g, const ServiceConfig& cfg,
         std::string obs_label)
       : id(id_),
-        dfs(std::move(g), RerootStrategy::kPaper, nullptr, cfg.num_threads,
-            -1, std::move(obs_label)),
+        dfs(std::move(g), RerootStrategy::kPaper, nullptr, 0, -1,
+            std::move(obs_label)),
         queue(cfg.queue_capacity) {}
 
   const std::size_t id;
@@ -333,7 +333,6 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
     std::unique_ptr<UpdateJournal> journal;
     if (config_.enable_journal) {
       UpdateJournal::Config jcfg;
-      jcfg.num_threads = config_.num_threads;
       jcfg.obs_shard = S > 1 ? std::to_string(s) : std::string();
       journal = std::make_unique<UpdateJournal>(g, std::move(jcfg));
     }
@@ -1478,8 +1477,14 @@ void ShardRouter::recover_shard_locked(Shard& sh) {
     ++sh.stats.snapshots_published;
     ++sh.stats.recoveries;
     if (replayed != 0) {
+      const BatchStats& b = r.last_batch;
       ++sh.stats.batches;
       sh.stats.updates_applied += replayed;
+      sh.stats.structural += b.structural;
+      sh.stats.back_edges += b.back_edges;
+      sh.stats.segments += b.segments;
+      sh.stats.index_rebuilds += b.index_rebuilds;
+      sh.stats.base_rebuilds += b.base_rebuilds;
     }
   }
   if (replayed != 0) {
@@ -1497,8 +1502,8 @@ void ShardRouter::recover_shard_locked(Shard& sh) {
     for (std::size_t i = 0; i < sh.wal_pending->tickets.size(); ++i) {
       Vertex assigned = kNullVertex;
       if (sh.wal_pending->kinds[i] == GraphUpdate::Kind::kInsertVertex &&
-          next_new_vertex < r.last_new_vertices.size()) {
-        assigned = r.last_new_vertices[next_new_vertex++];
+          next_new_vertex < r.last_batch.new_vertices.size()) {
+        assigned = r.last_batch.new_vertices[next_new_vertex++];
       }
       sh.wal_pending->tickets[i].try_ack(sh.wal_pending->version, assigned);
     }

@@ -56,10 +56,6 @@ struct ServiceConfig {
   // Coalescing cap per drain; 0 = the core's epoch period (Θ(log n), the
   // largest batch the Theorem 9 patch budget absorbs in one segment).
   std::size_t max_batch = 0;
-  // Worker-team cap for the rerooting engine's parallel rounds (0 = the pram
-  // facade default). Purely a wall-clock knob: the served forest is
-  // identical at any value.
-  int num_threads = 0;
   // Start with the writers paused (updates queue up; nothing applies until
   // resume()). Lets tests and benchmarks pin coalescing deterministically.
   bool start_paused = false;

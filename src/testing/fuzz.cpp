@@ -72,7 +72,6 @@ std::string replay_line(const FuzzOptions& o) {
   line += " --n=" + std::to_string(o.n);
   line += " --batches=" + std::to_string(o.batches);
   line += " --max-batch=" + std::to_string(o.max_batch);
-  line += " --threads=" + std::to_string(o.num_threads);
   if (o.entry == FuzzEntry::kSharded || o.entry == FuzzEntry::kChaos) {
     line += " --shards=" + std::to_string(o.num_shards);
   }
@@ -337,8 +336,7 @@ class Engine {
 
 class CoreEngine final : public Engine {
  public:
-  CoreEngine(Graph initial, int num_threads)
-      : dfs_(std::move(initial), RerootStrategy::kPaper, nullptr, num_threads) {}
+  explicit CoreEngine(Graph initial) : dfs_(std::move(initial)) {}
 
   bool apply(const std::vector<GeneratedUpdate>& batch, std::string* err) override {
     std::vector<GraphUpdate> updates;
@@ -472,7 +470,6 @@ class ServiceEngine final : public Engine {
     service::ServiceConfig config;
     config.queue_capacity = static_cast<std::size_t>(std::max(o.max_batch, 1)) + 8;
     config.max_batch = 1;  // exact per-update drains: deterministic replay
-    config.num_threads = o.num_threads;
     config.start_paused = true;
     config.serve_cuts = true;
     return config;
@@ -617,7 +614,6 @@ class ShardedEngine : public Engine {
     service::ServiceConfig config;
     config.queue_capacity = static_cast<std::size_t>(std::max(o.max_batch, 1)) + 8;
     config.max_batch = 1;
-    config.num_threads = o.num_threads;
     config.serve_cuts = true;
     config.num_shards = static_cast<std::size_t>(num_shards);
     if (chaos) {
@@ -919,7 +915,7 @@ FuzzResult run_fuzz(const FuzzOptions& options_in) {
 
   std::unique_ptr<Engine> engine;
   if (options.entry == FuzzEntry::kCore) {
-    engine = std::make_unique<CoreEngine>(std::move(initial), options.num_threads);
+    engine = std::make_unique<CoreEngine>(std::move(initial));
   } else if (options.entry == FuzzEntry::kService) {
     engine = std::make_unique<ServiceEngine>(std::move(initial), options);
   } else if (options.entry == FuzzEntry::kChaos) {
@@ -959,7 +955,7 @@ FuzzResult run_fuzz(const FuzzOptions& options_in) {
 }
 
 FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
-                    int num_threads, bool force_scalar) {
+                    bool force_scalar) {
   FuzzResult total;
   // Returns false at the first failing run (stashing it, totals folded in).
   const auto run_one = [&](const FuzzOptions& o) -> bool {
@@ -985,7 +981,6 @@ FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
       o.family = family;
       o.n = n;
       o.batches = batches;
-      o.num_threads = num_threads;
       o.force_scalar = force_scalar;
       for (const FuzzEntry entry : {FuzzEntry::kCore, FuzzEntry::kService,
                                     FuzzEntry::kSharded}) {

@@ -71,7 +71,6 @@ struct FuzzOptions {
   int max_batch = 8;           // batch size drawn uniformly from [1, max_batch]
   int queries_per_batch = 24;  // sampled tree/snapshot queries per batch
   int cut_checks_per_batch = 3;  // brute-force articulation/bridge samples
-  int num_threads = 0;         // engine worker-team cap (0 = facade default)
   // Shard count for the sharded/chaos entries (ignored by core/service). The
   // run drives this many shards against a 1-shard reference differentially.
   int num_shards = 4;
@@ -120,7 +119,7 @@ FuzzResult run_fuzz(const FuzzOptions& options);
 // returns an ok result with the accumulated totals.
 inline constexpr int kChaosSchedulesPerSeed = 3;
 FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
-                    int num_threads = 0, bool force_scalar = false);
+                    bool force_scalar = false);
 
 // The replay line run_fuzz/run_soak would print for `options`.
 std::string replay_line(const FuzzOptions& options);

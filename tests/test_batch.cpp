@@ -13,6 +13,7 @@
 #include "graph/generators.hpp"
 #include "pram/cost_model.hpp"
 #include "service/workload.hpp"
+#include "team_size.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
 
@@ -427,11 +428,12 @@ TEST(Batch, MultiRoundPassesMatchPinnedForests) {
 
   for (const int team : {1, 4}) {
     SCOPED_TRACE(::testing::Message() << "team " << team);
+    const TeamSizeGuard team_size(team);
     const service::WorkloadSpec spec{service::Scenario::kSocialMix, 1 << 13, 5};
     service::WorkloadDriver driver(spec);
     pram::CostModel cost;
     DynamicDfs dfs(service::make_initial_graph(spec), RerootStrategy::kPaper,
-                   &cost, team);
+                   &cost);
     RerootStats sum;
     std::vector<GraphUpdate> batch;
     for (int b = 0; b < kBatches; ++b) {

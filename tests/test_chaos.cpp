@@ -722,6 +722,32 @@ TEST(ChaosHooks, CrashedInsertKeepsItsReservedIds) {
   EXPECT_EQ(router.stats().recoveries, 1u);
 }
 
+// A batch the crash cut short is applied by the journal replay, not by the
+// live path: recovery must still count what it did into stats(). Deleting
+// the path's tree edge (7, 8) is one structural update with one index
+// rebuild.
+TEST(ChaosHooks, ReplayedBatchReachesServiceStats) {
+  FaultPlan plan;
+  plan.specs.push_back(FaultSpec{FaultPoint::kWriterCrashMidBatch,
+                                 /*shard=*/0, /*at_hit=*/0, /*param=*/0});
+  chaos::arm(plan);
+  ServiceConfig config = supervised_config(1);
+  config.enable_chaos = true;
+  ShardRouter router(gen::path(16), config);
+
+  UpdateTicket ticket = router.submit(GraphUpdate::delete_edge(7, 8));
+  ASSERT_FALSE(UpdateTicket::is_status(ticket.wait()));
+  EXPECT_EQ(chaos::faults_injected(), 1u);
+  const ServiceStats st = router.stats();
+  EXPECT_EQ(st.recoveries, 1u);
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.updates_applied, 1u);
+  EXPECT_EQ(st.structural, 1u);
+  EXPECT_GE(st.index_rebuilds, 1u);
+  chaos::disarm();
+  router.stop();
+}
+
 #else  // !PARDFS_ENABLE_CHAOS
 
 // Compiled out: arming is inert, hooks answer kNone, nothing ever fires —

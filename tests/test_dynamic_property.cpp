@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/dynamic_dfs.hpp"
 #include "graph/generators.hpp"
+#include "team_size.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
 
@@ -81,8 +83,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Family sweep: the same per-update validity property at n=96 over the graph
 // families the fuzz soak exercises (random, grid, Barabási–Albert), with a
-// delete-heavy axis and a real worker team (num_threads=4) — the forest must
-// stay valid AND be identical to the single-thread run at every step.
+// delete-heavy axis and a process team of 4 (TeamSizeGuard) — the forest
+// must stay valid AND be identical to the team-1 run at every step.
 struct FamilyParam {
   const char* name;
   Graph (*make)(Vertex n, Rng& rng);
@@ -114,8 +116,10 @@ TEST_P(FamilySweep, ForestValidAndThreadCountInvariant) {
   const Vertex n = 96;
   Rng graph_rng(static_cast<std::uint64_t>(seed) * 6151 + 3);
   const Graph initial = family.make(n, graph_rng);
-  DynamicDfs serial(initial, RerootStrategy::kPaper, nullptr, /*num_threads=*/1);
-  DynamicDfs parallel(initial, RerootStrategy::kPaper, nullptr, /*num_threads=*/4);
+  TeamSizeGuard team_size(1);
+  DynamicDfs serial(initial);
+  team_size.set(4);
+  DynamicDfs parallel(initial);
   Graph mirror = initial;
   Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 17);
   for (int step = 0; step < 100; ++step) {
@@ -125,7 +129,8 @@ TEST_P(FamilySweep, ForestValidAndThreadCountInvariant) {
       break;
     }
     gen::apply_update(mirror, u);
-    for (DynamicDfs* dfs : {&serial, &parallel}) {
+    for (const auto& [dfs, team] : {std::pair{&serial, 1}, std::pair{&parallel, 4}}) {
+      team_size.set(team);
       switch (u.kind) {
         case gen::UpdateKind::kInsertEdge:
           dfs->insert_edge(u.u, u.v);
@@ -147,7 +152,7 @@ TEST_P(FamilySweep, ForestValidAndThreadCountInvariant) {
                                << ": " << validation.reason;
     ASSERT_TRUE(std::ranges::equal(serial.parent(), parallel.parent()))
         << "seed=" << seed << " family=" << family.name << " step=" << step
-        << ": forest differs between num_threads=1 and num_threads=4";
+        << ": forest differs between teams 1 and 4";
   }
 }
 

@@ -1,6 +1,6 @@
 // The fuzz harness tested as a subsystem: small runs of every family x entry
 // cell must come back clean, the whole thing must be deterministic per seed
-// (including across engine thread counts), and — the part that proves the
+// (including across process teams), and — the part that proves the
 // oracle has teeth — an injected corruption must FAIL the run with a replay
 // line that reproduces it.
 #include "testing/fuzz.hpp"
@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+
+#include "team_size.hpp"
 
 namespace pardfs::testing {
 namespace {
@@ -56,13 +58,13 @@ TEST(Fuzz, DeterministicPerSeed) {
 }
 
 TEST(Fuzz, DeterministicAcrossThreadCounts) {
-  // The engine's forest is identical at any worker-team size (the PR 4
-  // contract), so the whole fuzz verdict must be too.
+  // The engine's forest is identical at any process team (DESIGN.md §8), so
+  // the whole fuzz verdict must be too.
   for (const FuzzEntry entry : {FuzzEntry::kCore, FuzzEntry::kService}) {
-    FuzzOptions o = small_options(FuzzFamily::kRandom, entry, 9);
-    o.num_threads = 1;
+    const FuzzOptions o = small_options(FuzzFamily::kRandom, entry, 9);
+    TeamSizeGuard team_size(1);
     const FuzzResult serial = run_fuzz(o);
-    o.num_threads = 4;
+    team_size.set(4);
     const FuzzResult parallel = run_fuzz(o);
     ASSERT_TRUE(serial.ok) << serial.failure;
     ASSERT_TRUE(parallel.ok) << parallel.failure;

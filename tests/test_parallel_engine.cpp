@@ -1,10 +1,10 @@
-// The parallel rerooting engine's determinism contract: one update stream,
-// any worker-team size, byte-identical forests and stats. Components of a
-// round step on real threads (rerooter.cpp), so this pins
-//   * the final parent array at 1/2/4/8 workers (single-update path and the
+// The rerooting engine's determinism contract: one update stream, any
+// process team, byte-identical forests and stats. The engine steps its
+// rounds on the calling thread, but the array loops around it (D build, CSR
+// counts, LCA fill) fork the process team (TeamSizeGuard), so this pins
+//   * the final parent array at teams 1/2/4/8 (single-update path and the
 //     combined batch path, vertex inserts included),
 //   * every RerootStats counter (round counts included),
-//   * the facade-default knob (num_threads = 0) against an explicit team,
 //   * the (pos, u, v) total order of best_edge_to_chain, which must not
 //     depend on piece-iteration order.
 #include <gtest/gtest.h>
@@ -17,8 +17,8 @@
 #include "core/dynamic_dfs.hpp"
 #include "core/fault_tolerant.hpp"
 #include "core/rerooter_internal.hpp"
-#include "pram/parallel.hpp"
 #include "service/workload.hpp"
+#include "team_size.hpp"
 #include "tree/validation.hpp"
 
 namespace pardfs {
@@ -44,14 +44,14 @@ struct StreamResult {
 };
 
 // Drives `count` updates of the scenario stream through a fresh DynamicDfs
-// configured with `threads` engine workers, `chunk` updates at a time
+// with the process team pinned to `team`, `chunk` updates at a time
 // (chunk 1 = the per-update path, larger = the combined batch path).
 StreamResult drive(service::Scenario scenario, Vertex n, int count,
-                   std::size_t chunk, int threads) {
+                   std::size_t chunk, int team) {
+  const TeamSizeGuard team_size(team);
   const service::WorkloadSpec spec{scenario, n, 77};
   service::WorkloadDriver driver(spec);
-  DynamicDfs dfs(service::make_initial_graph(spec), RerootStrategy::kPaper,
-                 nullptr, threads);
+  DynamicDfs dfs(service::make_initial_graph(spec));
   StreamResult result;
   std::vector<GraphUpdate> batch;
   for (int applied = 0; applied < count;) {
@@ -78,12 +78,12 @@ class ParallelDeterminism
 TEST_P(ParallelDeterminism, SameTreeAndStatsAtAnyThreadCount) {
   const auto [scenario, chunk] = GetParam();
   const StreamResult serial = drive(scenario, 128, 80, chunk, 1);
-  for (const int threads : {2, 4, 8}) {
-    const StreamResult parallel = drive(scenario, 128, 80, chunk, threads);
+  for (const int team : {2, 4, 8}) {
+    const StreamResult parallel = drive(scenario, 128, 80, chunk, team);
     ASSERT_EQ(serial.parent, parallel.parent)
-        << "parent array diverged at " << threads << " threads";
+        << "parent array diverged at team " << team;
     ASSERT_EQ(serial.stats, parallel.stats)
-        << "RerootStats diverged at " << threads << " threads";
+        << "RerootStats diverged at team " << team;
   }
 }
 
@@ -99,12 +99,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelEngine, FaultTolerantPathDeterministicAcrossThreadCounts) {
   // The fault-tolerant wrapper drives the same engine through non-identity
-  // oracle views (every query decomposes over the base tree); its parallel
-  // rounds must honor the same contract.
-  const auto run_ft = [](int threads) {
+  // oracle views (every query decomposes over the base tree); its rounds
+  // must honor the same contract.
+  const auto run_ft = [](int team) {
+    const TeamSizeGuard team_size(team);
     const service::WorkloadSpec spec{service::Scenario::kAdversarialStar, 96, 5};
     service::WorkloadDriver driver(spec);
-    FaultTolerantDfs ft(service::make_initial_graph(spec), nullptr, threads);
+    FaultTolerantDfs ft(service::make_initial_graph(spec));
     std::vector<FingerPrint> stats;
     for (int i = 0; i < 6; ++i) {  // within the k <= log n batch budget
       ft.apply_incremental(driver.next());
@@ -116,46 +117,31 @@ TEST(ParallelEngine, FaultTolerantPathDeterministicAcrossThreadCounts) {
         std::vector<Vertex>(ft.parent().begin(), ft.parent().end()), stats);
   };
   const auto serial = run_ft(1);
-  for (const int threads : {2, 4, 8}) {
-    const auto parallel = run_ft(threads);
+  for (const int team : {2, 4, 8}) {
+    const auto parallel = run_ft(team);
     ASSERT_EQ(serial.first, parallel.first)
-        << "fault-tolerant parent array diverged at " << threads << " threads";
+        << "fault-tolerant parent array diverged at team " << team;
     ASSERT_EQ(serial.second, parallel.second)
-        << "fault-tolerant RerootStats diverged at " << threads << " threads";
+        << "fault-tolerant RerootStats diverged at team " << team;
   }
-}
-
-TEST(ParallelEngine, FacadeDefaultKnobMatchesExplicitTeam) {
-  // num_threads = 0 resolves to the pram facade's global setting; pin that
-  // path against both an explicit team and a serial run.
-  pram::set_num_threads(3);
-  const StreamResult facade =
-      drive(service::Scenario::kAdversarialStar, 96, 48, 8, 0);
-  pram::set_num_threads(0);
-  const StreamResult serial =
-      drive(service::Scenario::kAdversarialStar, 96, 48, 8, 1);
-  const StreamResult explicit3 =
-      drive(service::Scenario::kAdversarialStar, 96, 48, 8, 3);
-  EXPECT_EQ(facade, serial);
-  EXPECT_EQ(facade, explicit3);
 }
 
 TEST(ParallelEngine, BatchesWithVertexInsertsDeterministicAcrossThreadCounts) {
   // Vertex inserts are admitted up front and join the combined pass
-  // (DESIGN.md §7.1). At n = 4096 that pass takes the parallel branches
-  // (pram::kSerialGrain) and the per-round machinery above the serial
-  // cutoff; its forest and stats must not depend on the team size.
+  // (DESIGN.md §7.1). At n = 4096 the array loops fork (pram::kSerialGrain)
+  // and the pass runs the per-round machinery above the serial cutoff; its
+  // forest and stats must not depend on the team size.
   struct Run {
     std::vector<Vertex> parent;
     std::vector<FingerPrint> stats;
     std::vector<std::size_t> shape;  // per batch: segments, rebuilds, new ids
     std::size_t combined_with_inserts = 0;
   };
-  const auto run = [](int threads) {
+  const auto run = [](int team) {
+    const TeamSizeGuard team_size(team);
     const service::WorkloadSpec spec{service::Scenario::kSocialMix, 4096, 13};
     service::WorkloadDriver driver(spec);
-    DynamicDfs dfs(service::make_initial_graph(spec), RerootStrategy::kPaper,
-                   nullptr, threads);
+    DynamicDfs dfs(service::make_initial_graph(spec));
     Run r;
     for (int b = 0; b < 10; ++b) {
       std::vector<GraphUpdate> batch;
@@ -175,14 +161,14 @@ TEST(ParallelEngine, BatchesWithVertexInsertsDeterministicAcrossThreadCounts) {
   const Run serial = run(1);
   ASSERT_GT(serial.combined_with_inserts, 0u)
       << "the stream must put vertex inserts into combined passes";
-  for (const int threads : {2, 4, 8}) {
-    const Run parallel = run(threads);
+  for (const int team : {2, 4, 8}) {
+    const Run parallel = run(team);
     ASSERT_EQ(serial.parent, parallel.parent)
-        << "parent array diverged at " << threads << " threads";
+        << "parent array diverged at team " << team;
     ASSERT_EQ(serial.stats, parallel.stats)
-        << "RerootStats diverged at " << threads << " threads";
+        << "RerootStats diverged at team " << team;
     ASSERT_EQ(serial.shape, parallel.shape)
-        << "batch shape diverged at " << threads << " threads";
+        << "batch shape diverged at team " << team;
   }
 }
 

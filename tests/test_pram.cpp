@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "pram/parallel.hpp"
 #include "pram/scan.hpp"
+#include "team_size.hpp"
 #include "util/random.hpp"
 
 namespace pardfs::pram {
@@ -16,19 +18,21 @@ TEST(ParallelFor, CoversRange) {
   EXPECT_TRUE(std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }));
 }
 
-TEST(ParallelReduce, SumMatchesSerial) {
-  const std::size_t n = 100000;
-  const std::uint64_t total = parallel_reduce(
-      std::size_t{0}, n, std::uint64_t{0}, [](std::size_t i) { return std::uint64_t(i); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(total, std::uint64_t(n) * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
-  const int r = parallel_reduce(
-      std::size_t{5}, std::size_t{5}, -1, [](std::size_t) { return 7; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(r, -1);
+TEST(ParallelFor, ForksTheFacadeTeam) {
+  // The facade's team setting is the one team parallel_for_t forks,
+  // whatever OpenMP's default team on this thread is.
+  const TeamSizeGuard team_size(3);
+  set_num_threads(2);
+  std::vector<int> worker(10000, -1);
+  parallel_for_t(0, worker.size(), [&](std::size_t i) {
+#if defined(_OPENMP)
+    worker[i] = omp_get_thread_num();
+#else
+    worker[i] = 0;
+#endif
+  });
+  EXPECT_LT(*std::max_element(worker.begin(), worker.end()), 2);
+  EXPECT_GE(*std::min_element(worker.begin(), worker.end()), 0);
 }
 
 TEST(Scan, ExclusivePrefixSums) {
@@ -43,6 +47,9 @@ TEST(Scan, ExclusivePrefixSums) {
       acc += in[i];
     }
     EXPECT_EQ(total, acc);
+    // In place (out aliases in): the same sums.
+    EXPECT_EQ(exclusive_scan(in, in), total);
+    EXPECT_EQ(in, out);
   }
 }
 

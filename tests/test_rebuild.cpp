@@ -8,15 +8,11 @@
 #include <utility>
 #include <vector>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include "baseline/static_dfs.hpp"
 #include "core/adjacency_oracle.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "pram/parallel.hpp"
+#include "team_size.hpp"
 #include "tree/tree_index.hpp"
 #include "util/random.hpp"
 
@@ -149,20 +145,6 @@ Vertex walk_lca(const std::vector<Vertex>& parent, Vertex u, Vertex v,
   return kNullVertex;
 }
 
-// Restores the facade's and OpenMP's default team sizes on scope exit, so a
-// failed assertion cannot leak a team size into later tests.
-struct TeamSizeGuard {
-#if defined(_OPENMP)
-  int omp_default = omp_get_max_threads();
-#endif
-  ~TeamSizeGuard() {
-    pram::set_num_threads(0);
-#if defined(_OPENMP)
-    omp_set_num_threads(omp_default);
-#endif
-  }
-};
-
 TEST(Rebuild, LargeForestsMatchAtEveryTeamSize) {
   // n >= 2^14 puts the LCA table's block fill (2n / 8 blocks) above
   // pram::kSerialGrain, so its parallel_for really forks at teams > 1.
@@ -188,7 +170,7 @@ TEST(Rebuild, LargeForestsMatchAtEveryTeamSize) {
     shapes.push_back(std::move(s));
   }
 
-  const TeamSizeGuard restore;
+  TeamSizeGuard team_size;
   for (const Shape& s : shapes) {
     const Vertex n = static_cast<Vertex>(s.parent.size());
     ASSERT_GE(n, kN) << s.name;
@@ -196,10 +178,7 @@ TEST(Rebuild, LargeForestsMatchAtEveryTeamSize) {
     std::vector<std::uint32_t> mark(s.parent.size(), 0);
     std::uint32_t stamp = 0;
     for (const int team : {1, 2, 4, 8}) {
-      pram::set_num_threads(team);
-#if defined(_OPENMP)
-      omp_set_num_threads(team);
-#endif
+      team_size.set(team);
       TreeIndex idx;
       idx.build(s.parent, s.alive);
       if (team > 1) expect_identical(reference, idx, n, s.name);

@@ -15,6 +15,7 @@
 
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
+#include "team_size.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
 
@@ -85,11 +86,13 @@ struct DrivenRouter {
   std::int64_t num_edges = 0;
 };
 
-DrivenRouter drive(std::size_t num_shards, int num_threads,
+// `team` pins the process team for the run (0 = the default team).
+DrivenRouter drive(std::size_t num_shards, int team,
                    const std::vector<GraphUpdate>& stream) {
+  TeamSizeGuard team_size;
+  if (team > 0) team_size.set(team);
   ServiceConfig config;
   config.num_shards = num_shards;
-  config.num_threads = num_threads;
   ShardRouter router(disjoint_paths(8, 8), config);
   DrivenRouter out;
   for (const GraphUpdate& u : stream) {
@@ -181,10 +184,10 @@ TEST(ShardRouter, ForestBytesIdenticalAcrossShardAndThreadCounts) {
   }
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
                                    std::size_t{16}}) {
-    for (const int threads : {0, 2}) {
-      const DrivenRouter run = drive(shards, threads, stream);
+    for (const int team : {0, 2}) {
+      const DrivenRouter run = drive(shards, team, stream);
       SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " threads=" + std::to_string(threads));
+                   " team=" + std::to_string(team));
       // Byte-identical forest and liveness...
       ASSERT_EQ(run.parent.size(), base.parent.size());
       EXPECT_EQ(run.parent, base.parent);

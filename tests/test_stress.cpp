@@ -11,6 +11,7 @@
 #include "graph/generators.hpp"
 #include "service/shard_router.hpp"
 #include "service/workload.hpp"
+#include "team_size.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
 
@@ -212,18 +213,17 @@ TEST(Stress, ServiceSurvivesAdversarialStarWithReaders) {
 }
 
 TEST(Stress, ParallelEngineBatchChurn) {
-  // The rerooting engine's worker fan-out, driven hard through the combined
-  // batch path with an explicit 4-worker team — the scenario the TSAN CI job
-  // must see race-free (workers share the tree, the oracle and the cost
-  // model; everything else is per-worker).
+  // The rerooting engine driven hard through the combined batch path with
+  // the process team pinned to 4 — the scenario the TSAN CI job must see
+  // race-free.
   using service::Scenario;
+  const TeamSizeGuard team_size(4);
   for (const Scenario scenario :
        {Scenario::kAdversarialStar, Scenario::kSocialMix}) {
     const service::WorkloadSpec spec{scenario, 160,
                                      91 + static_cast<std::uint64_t>(scenario)};
     service::WorkloadDriver driver(spec);
-    DynamicDfs dfs(service::make_initial_graph(spec), RerootStrategy::kPaper,
-                   nullptr, /*num_threads=*/4);
+    DynamicDfs dfs(service::make_initial_graph(spec));
     for (int batch = 0; batch < 20; ++batch) {
       std::vector<GraphUpdate> updates;
       for (int i = 0; i < 8; ++i) updates.push_back(driver.next());
@@ -236,13 +236,12 @@ TEST(Stress, ParallelEngineBatchChurn) {
 }
 
 TEST(Stress, ParallelEngineServiceUnderReaders) {
-  // Worker fan-out inside the writer thread while readers hammer snapshots:
-  // engine workers + writer + readers all live at once.
+  // The engine inside the writer thread, process team pinned to 4, while
+  // readers hammer snapshots: writer + readers all live at once.
+  const TeamSizeGuard team_size(4);
   const service::WorkloadSpec spec{service::Scenario::kAdversarialStar, 192, 13};
   service::WorkloadDriver driver(spec);
-  service::ServiceConfig config;
-  config.num_threads = 4;
-  service::ShardRouter svc(service::make_initial_graph(spec), config);
+  service::ShardRouter svc(service::make_initial_graph(spec), service::ServiceConfig{});
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {

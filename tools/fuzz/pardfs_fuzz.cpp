@@ -47,7 +47,7 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s [--seed=U64] [--scenario=random|power_law|grid|dynamic_map]\n"
       "          [--entry=core|service|sharded|chaos] [--n=N] [--batches=B]\n"
-      "          [--max-batch=K] [--threads=T] [--shards=S] [--corrupt-at=B]\n"
+      "          [--max-batch=K] [--shards=S] [--corrupt-at=B]\n"
       "          [--chaos-seed=U64] [--chaos-faults=F]\n"
       "          [--soak=SEEDS] [--minutes=M] [--force-scalar]\n"
       "(--entry=chaos needs -DPARDFS_ENABLE_CHAOS=ON to actually inject;\n"
@@ -89,10 +89,6 @@ bool parse_arg(std::string_view arg, CliOptions& cli) {
   if (value_of("--max-batch", v)) {
     cli.fuzz.max_batch = std::atoi(std::string(v).c_str());
     return cli.fuzz.max_batch > 0;
-  }
-  if (value_of("--threads", v)) {
-    cli.fuzz.num_threads = std::atoi(std::string(v).c_str());
-    return cli.fuzz.num_threads >= 0;
   }
   if (value_of("--shards", v)) {
     cli.fuzz.num_shards = std::atoi(std::string(v).c_str());
@@ -170,7 +166,7 @@ int main(int argc, char** argv) {
     do {
       const FuzzResult r = pardfs::testing::run_soak(
           seed_base, /*seeds=*/1, cli.fuzz.batches, cli.fuzz.n,
-          cli.fuzz.num_threads, cli.fuzz.force_scalar);
+          cli.fuzz.force_scalar);
       if (!r.ok) return report(r);
       total.batches += r.batches;
       total.updates += r.updates;
@@ -185,7 +181,7 @@ int main(int argc, char** argv) {
   if (cli.soak_seeds > 0) {
     return report(pardfs::testing::run_soak(
         cli.fuzz.seed, cli.soak_seeds, cli.fuzz.batches, cli.fuzz.n,
-        cli.fuzz.num_threads, cli.fuzz.force_scalar));
+        cli.fuzz.force_scalar));
   }
 
   std::printf("run: %s\n", pardfs::testing::replay_line(cli.fuzz).c_str());

@@ -7,7 +7,7 @@
 //
 //   pardfs_stat [--scenario=read_heavy|insert_churn|adversarial_star|
 //                           social_mix|dynamic_map]
-//               [--n=4096] [--seed=42] [--updates=2000] [--threads=0]
+//               [--n=4096] [--seed=42] [--updates=2000]
 //               [--shards=1]           component-partitioned shards; > 1
 //                                      labels the service series shard="i"
 //               [--watch-ms=0]        re-print the registry every N ms while
@@ -52,7 +52,6 @@ struct Options {
   Vertex n = 4096;
   std::uint64_t seed = 42;
   std::uint64_t updates = 2000;
-  int threads = 0;
   std::size_t shards = 1;
   std::uint64_t watch_ms = 0;
   std::uint64_t inject_failures = 0;
@@ -96,8 +95,6 @@ Options parse(int argc, char** argv) {
       o.seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--updates=")) {
       o.updates = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--threads=")) {
-      o.threads = static_cast<int>(std::strtol(v, nullptr, 10));
     } else if (const char* v = value("--shards=")) {
       o.shards = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
       if (o.shards == 0) usage_error(a);
@@ -173,7 +170,6 @@ int main(int argc, char** argv) {
 
   const WorkloadSpec spec{o.scenario, o.n, o.seed};
   ServiceConfig config;
-  config.num_threads = o.threads;
   config.num_shards = o.shards;
   config.serve_cuts = o.scenario == Scenario::kDynamicMap;
   ShardRouter svc(make_initial_graph(spec), config);
